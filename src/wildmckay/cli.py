@@ -15,7 +15,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 
@@ -37,21 +36,6 @@ _PRECONDITION_ERRORS = (
     covers.EnumerationTooLarge,
     ValueError,
 )
-
-
-@dataclass
-class RunConfig:
-    """A parsed invocation; identical configs produce identical bytes."""
-
-    args: argparse.Namespace
-
-    @property
-    def format(self) -> str:
-        return getattr(self.args, "format", "json")
-
-    @property
-    def seed(self) -> int:
-        return getattr(self.args, "seed", 0)
 
 
 def schema_path() -> str:
@@ -109,8 +93,8 @@ def _flatten(prefix: str, obj, rows: list[tuple[str, str]]):
         rows.append((prefix, json.dumps(obj)))
 
 
-def _emit(report, cfg: RunConfig) -> None:
-    if cfg.format == "tsv":
+def _emit(report, fmt: str) -> None:
+    if fmt == "tsv":
         rows: list[tuple[str, str]] = []
         _flatten("", report, rows)
         for key, value in rows:
@@ -134,7 +118,7 @@ def _progress(line: str, ok: bool) -> None:
 # -- subcommand handlers ------------------------------------------------------
 
 
-def _cmd_stringy_invariant(args, cfg: RunConfig) -> int:
+def _cmd_stringy_invariant(args) -> int:
     rep = stringy.RepType(args.p, _parse_dims(args.dims))
     m = stringy.stringy_invariant(rep)
     crepant = stringy.crepant_diagnostic(rep)
@@ -160,53 +144,53 @@ def _cmd_stringy_invariant(args, cfg: RunConfig) -> int:
         "projectivized": stringy.projectivized_invariant(rep).to_json(),
         "duality_ok": stringy.poincare_duality_holds(rep),
     }
-    _emit(report, cfg)
+    _emit(report, args.format)
     return EXIT_OK
 
 
-def _cmd_stringy_pair(args, cfg: RunConfig) -> int:
+def _cmd_stringy_pair(args) -> int:
     a = _parse_fraction(args.a)
     if args.stack:
         value = stringy.stack_pair_invariant(args.p, a)
     else:
         value = stringy.smooth_pair_invariant(2, a)
-    _emit(value.to_json(), cfg)
+    _emit(value.to_json(), args.format)
     return EXIT_OK
 
 
-def _cmd_stringy_pointcount(args, cfg: RunConfig) -> int:
+def _cmd_stringy_pointcount(args) -> int:
     rep = stringy.RepType(args.p, _parse_dims(args.dims))
     count = stringy.origin_fiber_point_count(rep, args.q)
-    _emit(_rat(count), cfg)
+    _emit(_rat(count), args.format)
     return EXIT_OK
 
 
-def _cmd_covers_reduce(args, cfg: RunConfig) -> int:
+def _cmd_covers_reduce(args) -> int:
     field = _field_for(args.p, args.q)
     f = _parse_series(field, args.series)
     cls = covers.reduce(f)
-    _emit(cls.to_json(), cfg)
+    _emit(cls.to_json(), args.format)
     return EXIT_OK
 
 
-def _cmd_covers_census(args, cfg: RunConfig) -> int:
+def _cmd_covers_census(args) -> int:
     _field_for(args.p, args.q)
     report = covers.enumerate_covers(args.q, args.max_exp, guard=args.max_enum)
-    _emit(report.to_json(list_forms=args.list_forms), cfg)
+    _emit(report.to_json(list_forms=args.list_forms), args.format)
     return EXIT_OK if report.all_ok else EXIT_VERIFICATION
 
 
-def _cmd_covers_count(args, cfg: RunConfig) -> int:
+def _cmd_covers_count(args) -> int:
     _field_for(args.p, args.q)
     if args.extensions:
         n = covers.count_extensions(args.q, args.jump)
     else:
         n = covers.count_rep_covers(args.q, args.jump)
-    _emit(n, cfg)
+    _emit(n, args.format)
     return EXIT_OK
 
 
-def _cmd_verify(args, cfg: RunConfig) -> int:
+def _cmd_verify(args) -> int:
     if args.relation == "v3":
         result = invariant_rings.verify_dim3_relation(args.p)
         report = {
@@ -241,23 +225,23 @@ def _cmd_verify(args, cfg: RunConfig) -> int:
                 "determinant": str(result["determinant"]),
             },
         }
-    _emit(report, cfg)
+    _emit(report, args.format)
     return EXIT_OK if ok else EXIT_VERIFICATION
 
 
-def _cmd_suite(args, cfg: RunConfig) -> int:
-    results = acceptance.run_suite(seed=cfg.seed, only=args.only)
+def _cmd_suite(args) -> int:
+    results = acceptance.run_suite(seed=args.seed, only=args.only)
     if not results:
         known = ", ".join(name for name, _ in acceptance.CRITERIA)
         raise ValueError(f"--only {args.only!r} matches no criterion (known: {known})")
     for r in results:
         _progress(r.line, r.ok)
     report = {
-        "seed": cfg.seed,
+        "seed": args.seed,
         "criteria": [r.to_json() for r in results],
         "all_ok": all(r.ok for r in results),
     }
-    _emit(report, cfg)
+    _emit(report, args.format)
     return EXIT_OK if report["all_ok"] else EXIT_VERIFICATION
 
 
@@ -348,9 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    cfg = RunConfig(args)
     try:
-        return args.handler(args, cfg)
+        return args.handler(args)
     except _PRECONDITION_ERRORS as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_PRECONDITION

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .gf import GF, GaloisField, GFElement, prime_power_decomposition
+from .gf import GF, GaloisField, GFElement, InternalMismatch, prime_power_decomposition
 from .laurent import INF, InsufficientPrecision, LaurentSeries, artin_schreier
 
 
@@ -121,6 +121,8 @@ class ASCoverClass:
 
     @property
     def jump(self) -> int:
+        """The unique break of the higher ramification filtration: minus the
+        order of the representative polynomial, 0 for unramified covers."""
         return self.rep.jump
 
     def is_trivial(self) -> bool:
@@ -212,12 +214,6 @@ def witnesses_account_for(f: LaurentSeries, cls: ASCoverClass, witnesses) -> boo
     return const_class(g.constant_term()) == cls.const_class
 
 
-def ramification_jump(cls: ASCoverClass) -> int:
-    """The unique break of the higher ramification filtration: minus the
-    order of the representative polynomial, 0 for unramified covers."""
-    return cls.jump
-
-
 def uniformizer_params(p: int, j: int) -> tuple[int, int, int, int]:
     """Solve j = p*q' - r' (1 <= r' < p) and l'*r' = p*c' + 1 (1 <= l' < p).
 
@@ -230,7 +226,8 @@ def uniformizer_params(p: int, j: int) -> tuple[int, int, int, int]:
     q_ = (j + r_) // p
     l_ = pow(r_, -1, p)
     c_ = (l_ * r_ - 1) // p
-    assert p * (l_ * q_ - c_) - l_ * j == 1
+    if p * (l_ * q_ - c_) - l_ * j != 1:
+        raise InternalMismatch(f"uniformizer exponents for p = {p}, j = {j} miss valuation 1")
     return q_, r_, l_, c_
 
 
@@ -339,10 +336,6 @@ class CoverElement:
                 out[i] = out[i] + a * math.comb(m, i)
         return self.ring.element(out)
 
-    def delta(self) -> "CoverElement":
-        """sigma - id."""
-        return self.sigma() - self
-
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.comps)
 
@@ -440,7 +433,8 @@ def count_extensions(q: int, j: int) -> int:
     if j <= 0 or j % p == 0:
         raise InvalidJump(f"jump {j} must be positive and coprime to {p}")
     n = Fraction(p * count_rep_covers(q, j), p - 1)
-    assert n.denominator == 1
+    if n.denominator != 1:
+        raise InternalMismatch(f"extension count {n} for q = {q}, j = {j} is not an integer")
     return int(n)
 
 

@@ -19,6 +19,10 @@ import itertools
 from typing import Iterator
 
 
+class InternalMismatch(AssertionError):
+    """An internal invariant of a computation failed (must not happen)."""
+
+
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -205,7 +209,8 @@ class GFElement:
         for _ in range(F.e - 1):
             t = t.frobenius()
             acc = acc + t
-        assert all(c == 0 for c in acc.coeffs[1:])
+        if any(acc.coeffs[1:]):
+            raise InternalMismatch(f"trace of {self} left the prime field")
         return acc.coeffs[0]
 
     # -- predicates / conversions --

@@ -209,9 +209,6 @@ class GroupAction:
             f = f.substitute(self.images)
         return f
 
-    def delta(self, f: MultiPoly) -> MultiPoly:
-        return self.apply(f) - f
-
     def has_order_p(self) -> bool:
         gens = MultiPoly.gens(self.p, self.vars)
         for g in gens:
@@ -246,14 +243,6 @@ def standard_action(p: int, dims) -> GroupAction:
             images[names[pos + i]] = v
         pos += d
     return GroupAction(p, names, images)
-
-
-def apply_action(act: GroupAction, f: MultiPoly, k: int) -> MultiPoly:
-    return act.apply(f, k)
-
-
-def norm(act: GroupAction, f: MultiPoly) -> MultiPoly:
-    return act.norm(f)
 
 
 def catalan_mod(i: int, p: int) -> int:

@@ -14,7 +14,6 @@ convolution bound.  The Artin-Schreier image f^p - f keeps the input bound
 from __future__ import annotations
 
 import math
-from typing import Iterable
 
 from .gf import GaloisField, GFElement
 
@@ -198,10 +197,3 @@ def artin_schreier(x):
         power = {p * e: c ** p for e, c in x.coeffs.items() if p * e <= prec}
         return LaurentSeries(x.field, power, prec) - x.truncate(prec)
     raise TypeError(f"unsupported operand {type(x).__name__}")
-
-
-def series_from_pairs(field: GaloisField, pairs: Iterable[tuple[int, object]], prec=INF) -> LaurentSeries:
-    coeffs: dict[int, object] = {}
-    for e, c in pairs:
-        coeffs[int(e)] = field.coerce(c) + coeffs.get(int(e), field.zero)
-    return LaurentSeries(field, coeffs, prec)

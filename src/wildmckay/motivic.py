@@ -22,7 +22,7 @@ import math
 from fractions import Fraction
 from typing import Union
 
-from .gf import prime_power_decomposition
+from .gf import InternalMismatch, prime_power_decomposition
 
 Rat = Union[int, Fraction]
 
@@ -70,17 +70,6 @@ def _gcd_q(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     while b:
         a, b = b, _divmod_q(a, b)[1]
     return [c / a[-1] for c in a] if a else a  # monic
-
-
-def _int_nth_root(q: int, r: int) -> int | None:
-    """Exact integer r-th root of q >= 1, or None."""
-    if q < 1:
-        return None
-    m = round(q ** (1.0 / r))
-    for cand in (m - 1, m, m + 1):
-        if cand >= 1 and cand ** r == q:
-            return cand
-    return None
 
 
 class LefschetzPoly:
@@ -322,15 +311,17 @@ class MotivicValue:
 
     def point_count(self, q: int) -> Fraction:
         """Substitute the prime power q for L; exact rational result."""
-        if prime_power_decomposition(q) is None:
+        pe = prime_power_decomposition(q)
+        if pe is None:
             raise ValueError(f"{q} is not a prime power")
-        root = _int_nth_root(q, self.scale)
-        if root is None:
+        # q = p^e has an integer r-th root iff r divides e, and it is p^(e/r)
+        p, e = pe
+        if e % self.scale:
             raise FractionalPowerUnevaluable(
                 f"scale {self.scale} requires q to be a perfect {self.scale}-th power (got {q})"
             )
         try:
-            return self.evaluate(root)
+            return self.evaluate(p ** (e // self.scale))
         except ZeroDivisionError:
             raise PoleAtQ(f"denominator vanishes at q = {q}") from None
 
@@ -424,7 +415,8 @@ def _canonicalize(num: dict[int, int], den: dict[int, int], scale: int):
     if len(g) > 1:
         a, ra = _divmod_q(a, g)
         b, rb = _divmod_q(b, g)
-        assert not ra and not rb
+        if ra or rb:
+            raise InternalMismatch("the gcd does not divide both numerator and denominator")
     lcm_den = 1
     for c in a + b:
         lcm_den = math.lcm(lcm_den, c.denominator)

@@ -10,8 +10,17 @@ L^(-sht(j)), where the shift number sht(j) = sum_{lam} sum_i floor(i*j/p)
 grows linearly in n with slope D = sum (d_lam - 1) d_lam / 2.  Convergence
 is exactly D >= p (the stringily-Kawamata-log-terminal threshold).
 
-Everything here returns canonical MotivicValue's or exact rationals; the
-closed forms are cross-checked against the stratum sums they came from.
+The paper sums those series into one closed form, the twisted sum
+
+    T = (sum_{s=1}^{p-1} L^(s - sht(s))) / (1 - L^(p-1-D)),
+
+and M_st, the origin-fiber class and the projectivized invariant are each
+head + coeff * T for Laurent polynomials head and coeff, built in one
+place, _twisted_sum.  Everything here returns canonical MotivicValue's or
+exact rationals and computes each quantity by one route; the independent
+routes (the stratum integral, the projectivization from its definition,
+the sector sum of the stack pair) are cross-checked in the verification
+battery (acceptance.py).
 """
 
 from __future__ import annotations
@@ -31,10 +40,6 @@ class NotStringilyKLT(ArithmeticError):
 
 class NotKLT(ArithmeticError):
     """A pair coefficient violates the log-terminal bound."""
-
-
-class InternalMismatch(AssertionError):
-    """Two independent computation routes disagreed (must not happen)."""
 
 
 class BaseFieldMismatch(ValueError):
@@ -160,22 +165,31 @@ def _require_stringily_klt(rep: RepType) -> None:
         )
 
 
-def stringy_invariant(rep: RepType) -> MotivicValue:
-    """The stringy motivic invariant of the quotient:
+def _twisted_sum(rep: RepType, head: MotivicValue, coeff: MotivicValue) -> MotivicValue:
+    """head + coeff * T, with T the p - 1 geometric series over the twisted
+    strata summed:
 
-        L^d + L^(l-1)(L-1) (sum_{s=1}^{p-1} L^(s - sht(s))) / (1 - L^(p-1-D)).
+        T = (sum_{s=1}^{p-1} L^(s - sht(s))) / (1 - L^(p-1-D)).
+
+    Defined iff D >= p.  head and coeff are Laurent polynomials in L; the
+    whole value is put over 1 - L^(p-1-D) and divided once, so it is
+    reduced to lowest terms once."""
+    _require_stringily_klt(rep)
+    s_sum = MotivicValue.zero()
+    for s in range(1, rep.p):
+        s_sum = s_sum + MotivicValue.l_power(s - shift_number(rep, s))
+    den = MotivicValue.one() - MotivicValue.l_power(rep.p - 1 - shift_slope(rep))
+    return (head * den + coeff * s_sum) / den
+
+
+def stringy_invariant(rep: RepType) -> MotivicValue:
+    """The stringy motivic invariant of the quotient, L^d + L^(l-1)(L-1) T.
 
     Defined iff D >= p; without reflections it is also the stringy
     invariant of the quotient variety itself.
     """
-    _require_stringily_klt(rep)
-    p, D = rep.p, shift_slope(rep)
-    s_sum = MotivicValue.zero()
-    for s in range(1, p):
-        s_sum = s_sum + MotivicValue.l_power(s - shift_number(rep, s))
-    head = MotivicValue.l_power(rep.dim)
-    tail = MotivicValue.l_power(rep.summands - 1) * (L - 1) * s_sum
-    return head + tail / (MotivicValue.one() - MotivicValue.l_power(p - 1 - D))
+    coeff = MotivicValue.l_power(rep.summands - 1) * (L - 1)
+    return _twisted_sum(rep, MotivicValue.l_power(rep.dim), coeff)
 
 
 def stringy_invariant_via_strata(rep: RepType) -> MotivicValue:
@@ -212,11 +226,10 @@ def crepant_diagnostic(rep: RepType) -> dict:
 
 
 def origin_fiber_class(rep: RepType) -> MotivicValue:
-    """Integral of L^(-sht) over the cover moduli: for reflection-free
-    quotients with a crepant resolution this is the class of the fiber over
-    the origin."""
-    _require_stringily_klt(rep)
-    return integrate_over_covers(rep.p, negative_shift_exponent(rep))
+    """Integral of L^(-sht) over the cover moduli, 1 + (L-1) L^(-1) T: for
+    reflection-free quotients with a crepant resolution this is the class
+    of the fiber over the origin."""
+    return _twisted_sum(rep, MotivicValue.one(), (L - 1) * MotivicValue.l_power(-1))
 
 
 def origin_fiber_point_count(rep: RepType, q: int) -> Fraction:
@@ -251,57 +264,24 @@ def smooth_pair_invariant(d: int, a: Rat) -> MotivicValue:
 
 def stack_pair_invariant(p: int, a: Rat) -> MotivicValue:
     """Stringy invariant of the 2-dimensional reflection quotient stack
-    against a times its fixed locus, for a < 2 - p.
-
-    Computed two ways and compared: the closed form
-    (L^2 - L)/(1 - L^(a+p-2)), and the sector decomposition: the untwisted
-    sector (L^2 - L)/(1 - L^(a-1)) plus the twisted double sum, which
-    collapses to (L-1) L (S(a+p-2) - S(a-1)) with S(e) = L^e/(1 - L^e).
-    """
+    against a times its fixed locus, for a < 2 - p: the closed form
+    (L^2 - L)/(1 - L^(a+p-2)) of its sector decomposition."""
     if not is_prime(p):
         raise ValueError(f"characteristic {p} is not prime")
     a = Fraction(a)
     if a >= 2 - p:
         raise NotKLT(f"coefficient a = {a} >= 2 - p = {2 - p}")
-    l2_minus_l = L * L - L
-    closed = l2_minus_l / (MotivicValue.one() - MotivicValue.l_power(a + p - 2))
-
-    def tail_sum(e: Fraction) -> MotivicValue:
-        # sum_{n>=1} L^(e n) = L^e / (1 - L^e)
-        return geometric_sum(MotivicValue.one(), e) - MotivicValue.one()
-
-    untwisted = l2_minus_l / (MotivicValue.one() - MotivicValue.l_power(a - 1))
-    twisted = (L - 1) * L * (tail_sum(a + p - 2) - tail_sum(a - 1))
-    sectors = untwisted + twisted
-    if closed != sectors:
-        raise InternalMismatch("closed form and sector sum disagree")
-    return closed
+    return (L * L - L) / (MotivicValue.one() - MotivicValue.l_power(a + p - 2))
 
 
 def projectivized_invariant(rep: RepType) -> MotivicValue:
-    """Stringy invariant of the projectivized quotient, computed both from
-    its definition through the stringy invariant and from the closed form
+    """Stringy invariant of the projectivized quotient, in closed form
 
-        (L^d - 1)/(L - 1) + (L^l - 1)(sum_s L^(s-sht(s))) / (L (1 - L^(p-1-D)));
-
-    the two must agree.
+        (L^d - 1)/(L - 1) + (L^l - 1) T / L.
     """
-    _require_stringily_klt(rep)
-    p, d, l, D = rep.p, rep.dim, rep.summands, shift_slope(rep)
-    m = stringy_invariant(rep)
-    cone = MotivicValue.l_power(d) - MotivicValue.l_power(l)
-    via_def = cone / (L - 1) + (m - cone) * (MotivicValue.l_power(l) - 1) / (
-        MotivicValue.l_power(l) * (L - 1)
-    )
-    s_sum = MotivicValue.zero()
-    for s in range(1, p):
-        s_sum = s_sum + MotivicValue.l_power(s - shift_number(rep, s))
-    closed = (MotivicValue.l_power(d) - 1) / (L - 1) + (
-        MotivicValue.l_power(l) - 1
-    ) * s_sum / (L * (MotivicValue.one() - MotivicValue.l_power(p - 1 - D)))
-    if via_def != closed:
-        raise InternalMismatch("projectivization routes disagree")
-    return closed
+    head = (MotivicValue.l_power(rep.dim) - 1) / (L - 1)
+    coeff = (MotivicValue.l_power(rep.summands) - 1) * MotivicValue.l_power(-1)
+    return _twisted_sum(rep, head, coeff)
 
 
 def poincare_duality_holds(rep: RepType) -> bool:

@@ -6,6 +6,7 @@ prints one pass/fail line; run with -s to see them all.
 
 import pytest
 
+from wildmckay import acceptance
 from wildmckay.acceptance import CRITERIA, run_criterion, run_suite
 
 RUNTIME_BOUNDS = {
@@ -40,3 +41,16 @@ def test_verdicts_are_seed_independent():
     a = [r.ok for r in run_suite(seed=0)]
     b = [r.ok for r in run_suite(seed=12345)]
     assert a == b
+
+
+@pytest.mark.parametrize(
+    "name,helper",
+    [("poincare-duality", "_projectivized_via_definition"), ("reflection-pair", "_stack_pair_via_sectors")],
+)
+def test_wrong_second_route_fails_the_criterion(monkeypatch, name, helper):
+    checks = run_criterion(name).checks
+    route = getattr(acceptance, helper)
+    monkeypatch.setattr(acceptance, helper, lambda *args: route(*args) + 1)
+    result = run_criterion(name)
+    assert not result.ok
+    assert result.checks == checks

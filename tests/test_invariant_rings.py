@@ -8,14 +8,12 @@ from wildmckay.invariant_rings import (
     jacobian_determinant,
     GroupAction,
     MultiPoly,
-    apply_action,
     catalan_mod,
     dim22_generators,
     dim22_relation,
     dim3_action,
     dim3_quadratic_invariant,
     dim3_relation,
-    norm,
     reflection_jacobian_check,
     standard_action,
     verify_dim22_relation,
@@ -73,8 +71,8 @@ class TestActions:
         act = standard_action(3, (3,))
         x1 = MultiPoly.variable(3, act.vars, "x1_1")
         x2 = MultiPoly.variable(3, act.vars, "x1_2")
-        assert apply_action(act, x1, 1) == x1 + x2
-        assert apply_action(act, x1, 0) == x1
+        assert act.apply(x1, 1) == x1 + x2
+        assert act.apply(x1, 0) == x1
 
     def test_delta_nilpotence(self):
         act = standard_action(5, (4, 2))
@@ -82,9 +80,9 @@ class TestActions:
             first = MultiPoly.variable(5, act.vars, f"x{lam + 1}_1")
             h = first
             for i in range(1, d):
-                h = act.delta(h)
+                h = act.apply(h) - h
                 assert h == MultiPoly.variable(5, act.vars, f"x{lam + 1}_{i + 1}")
-            assert act.delta(h).is_zero()
+            assert (act.apply(h) - h).is_zero()
 
     def test_dim3_action_matches_display(self):
         act, x, y, z = dim3_action(3)
@@ -97,18 +95,18 @@ class TestActions:
         act = standard_action(3, (3,))
         for _ in range(10):
             f = random_poly(rng, 3, act.vars, max_deg=2, max_terms=3)
-            n = norm(act, f)
-            assert apply_action(act, n, 1) == n
+            n = act.norm(f)
+            assert act.apply(n, 1) == n
 
     def test_norm_examples(self):
         act = standard_action(2, (2,))
         x, y = MultiPoly.gens(2, act.vars)
         # norm of the moving variable is x^2 + x*y in the (x, y) labels
-        assert norm(act, x) == x * x + x * y
+        assert act.norm(x) == x * x + x * y
         one = MultiPoly.constant(2, act.vars, 1)
-        assert norm(act, one) == one
+        assert act.norm(one) == one
         act3, x3, y3, _ = dim3_action(3)
-        assert norm(act3, y3) == y3 ** 3 - x3 ** 2 * y3
+        assert act3.norm(y3) == y3 ** 3 - x3 ** 2 * y3
 
 
 class TestCatalan:

@@ -147,6 +147,13 @@ class TestPointCount:
             v.point_count(3)
         # a perfect square is fine
         assert v.point_count(4) == 2
+        with pytest.raises(FractionalPowerUnevaluable):
+            lp(Fraction(1, 2)).point_count(8)
+
+    def test_exact_root_of_huge_q(self):
+        # the root comes from q = p^e, never from a float
+        assert lp(Fraction(1, 3)).point_count(3 ** 120) == 3 ** 40
+        assert L.point_count(2 ** 1100) == 2 ** 1100
 
     def test_pole(self):
         with pytest.raises(PoleAtQ):

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from wildmckay.acceptance import _projectivized_via_definition, _stack_pair_via_sectors
 from wildmckay.motivic import L, MotivicValue, DivergentSeries
 from wildmckay.stringy import (
     BaseFieldMismatch,
@@ -208,6 +209,12 @@ class TestOriginFiber:
                     q = p ** e
                     assert origin_fiber_point_count(rep, q) == cls.point_count(q)
 
+    def test_closed_form_equals_stratum_integral(self):
+        for p in (2, 3, 5):
+            for rep in rep_types_iter(p, 3):
+                if shift_slope(rep) >= p:
+                    assert origin_fiber_class(rep) == integrate_over_covers(p, negative_shift_exponent(rep))
+
     def test_base_mismatch(self):
         with pytest.raises(BaseFieldMismatch):
             origin_fiber_point_count(RepType(2, [2, 2]), 9)
@@ -234,7 +241,9 @@ class TestPairInvariants:
     def test_translation_identity(self):
         for p in (2, 3, 5):
             for a in (-2, -1, Fraction(-1, 2), 0, Fraction(1, 2)):
-                assert smooth_pair_invariant(2, a) == stack_pair_invariant(p, Fraction(a) + 1 - p)
+                b = Fraction(a) + 1 - p
+                assert smooth_pair_invariant(2, a) == stack_pair_invariant(p, b)
+                assert _stack_pair_via_sectors(p, b) == stack_pair_invariant(p, b)
 
 
 class TestProjectivization:
@@ -253,6 +262,7 @@ class TestProjectivization:
             for rep in rep_types_iter(p, 3):
                 if shift_slope(rep) >= p:
                     assert poincare_duality_holds(rep)
+                    assert _projectivized_via_definition(rep) == projectivized_invariant(rep)
 
     def test_duality_example(self):
         assert poincare_duality_holds(RepType(5, [5, 2]))
