@@ -18,7 +18,7 @@ import sys
 from fractions import Fraction
 from importlib import resources
 
-from . import acceptance, covers, invariant_rings, stringy
+from . import acceptance, covers, stringy
 from .gf import GF, prime_power_decomposition
 from .laurent import LaurentSeries
 from .motivic import MotivicValue
@@ -191,6 +191,8 @@ def _cmd_covers_count(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import invariant_rings  # imported on use: stringy and covers calls never load it
+
     if args.relation == "v3":
         result = invariant_rings.verify_dim3_relation(args.p)
         report = {

@@ -18,11 +18,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
-from fractions import Fraction
+from collections import Counter
+from dataclasses import dataclass, field, fields
 
-from .gf import GF, GaloisField, GFElement, InternalMismatch, prime_power_decomposition
-from .laurent import INF, InsufficientPrecision, LaurentSeries, artin_schreier
+from .gf import GF, GaloisField, GFElement, InternalMismatch, require_prime_power
+from .laurent import INF, InsufficientPrecision, LaurentSeries
 
 
 class InvalidJump(ValueError):
@@ -129,13 +129,11 @@ class ASCoverClass:
         return self.rep.is_zero() and self.const_class == 0
 
     def lift(self, prec=INF) -> LaurentSeries:
-        """A Laurent series in the class: rep plus a constant of the right trace."""
-        f = self.rep.as_series(prec)
-        if self.const_class:
-            for c in self.field.elements():
-                if c.trace() == self.const_class:
-                    return f + LaurentSeries(self.field, {0: c}, prec)
-        return f
+        """A Laurent series in the class: rep plus the first constant, in
+        encoding order, whose trace (the map F.codes[-1]) is const_class."""
+        F, t = self.field, self.const_class
+        c = next(n for n in range(F.order) if F.codes[-1](n) == t) if t else 0
+        return self.rep.as_series(prec) + LaurentSeries(F, {0: F.from_encoding(c)}, prec)
 
     def key(self) -> tuple:
         return (self.rep.key(), self.const_class)
@@ -161,40 +159,71 @@ class ASCoverClass:
         }
 
 
+# -- the int-coded reduction core ---------------------------------------------
+#
+# A Laurent polynomial is a dict {exponent: code} of nonzero coefficients,
+# codes as in GFElement.encode, and the field's maps GaloisField.codes do the
+# arithmetic.  Only exponents <= 0 matter: the positive tail lies in the
+# Artin-Schreier image.
+
+
+def _reduce_codes(F, f):
+    """Normal form of f = {exponent <= 0: nonzero code} modulo the
+    Artin-Schreier image, with witnesses.
+
+    Returns (rep, const_class, witnesses): rep maps the exponents of the
+    representative polynomial (negative, coprime to p) to codes, and the
+    witnesses are (exponent, code) monomials in the order subtracted, which
+    is ascending.  A term c*t^(pi) with pi < 0 is cancelled by subtracting
+    w(c^(1/p) t^i).  Only pi feeds into i, so walking each chain
+    e, e/p, e/p^2, ... from its most negative end visits every exponent
+    after all of its input.
+    """
+    p, (add, _, _, root, trace) = F.p, F.codes
+    rep = dict(f)
+    const = trace(rep.pop(0, 0))
+    witnesses = []
+    for e in sorted(rep):
+        while e % p == 0 and (c := rep.pop(e, 0)):
+            e //= p
+            r = root(c)
+            witnesses.append((e, r))
+            c = add(rep.pop(e, 0), r)
+            if c:
+                rep[e] = c
+    witnesses.sort()
+    return rep, const, witnesses
+
+
+def _witnesses_hold(F, f, rep, const, witnesses):
+    """Check that f - sum w(c t^e) over the witnesses (e, c), all e <= 0,
+    has polar part rep and a constant term of trace const.  Frobenius, not
+    the p-th root, undoes each witness, so a wrong root map fails here."""
+    p, (add, neg, frob, _, trace) = F.p, F.codes
+    g = dict(f)
+    for e, c in witnesses:
+        g[p * e] = add(g.get(p * e, 0), neg(frob(c)))
+        g[e] = add(g.get(e, 0), c)
+    return trace(g.pop(0, 0)) == const and {e: c for e, c in g.items() if c} == rep
+
+
+def _cover_class(F, rep, const, decode):
+    return ASCoverClass(RepPoly(F, {-e: decode(c) for e, c in rep.items()}), const)
+
+
 def reduce_with_witnesses(f: LaurentSeries) -> tuple[ASCoverClass, list[LaurentSeries]]:
     """Normal form of f modulo the Artin-Schreier image, with the subtracted
-    preimage witnesses.
+    preimage witnesses as monomials, so that f - sum w(witness) has negative
+    part equal to the returned representative polynomial.
 
     The strictly positive tail is discarded outright (it always lies in the
     image over F_q[[t]] up to a constant-class adjustment, which the trace of
-    the constant term absorbs).  On the negative part, a term c*t^(-pi) is
-    cancelled by subtracting w(c^(1/p) t^(-i)); the witnesses are those
-    monomials, so that f - sum w(witness) has negative part equal to the
-    returned representative polynomial.
+    the constant term absorbs).  See _reduce_codes.
     """
-    if f.prec < 0:
-        raise InsufficientPrecision("constant term unknown: precision < 0")
-    field = f.field
-    p = field.p
-    cls0 = const_class(f.constant_term())
-    neg = dict(f.negative_part().coeffs)
-    witnesses: list[LaurentSeries] = []
-    while True:
-        divisible = [e for e in neg if (-e) % p == 0]
-        if not divisible:
-            break
-        e = min(divisible)  # most negative first; strictly increases
-        c = neg.pop(e)
-        w = LaurentSeries.monomial(field, e // p, c.pth_root())
-        witnesses.append(w)
-        e2 = e // p
-        s = neg.get(e2, field.zero) + c.pth_root()
-        if s.is_zero():
-            neg.pop(e2, None)
-        else:
-            neg[e2] = s
-    rep = RepPoly(field, {-e: c for e, c in neg.items()})
-    return ASCoverClass(rep, cls0), witnesses
+    F = f.field
+    rep, const, witnesses = _reduce_codes(F, f.polar_codes())
+    monomials = [LaurentSeries.monomial(F, e, F.from_encoding(c)) for e, c in witnesses]
+    return _cover_class(F, rep, const, F.from_encoding), monomials
 
 
 def reduce(f: LaurentSeries) -> ASCoverClass:
@@ -206,12 +235,9 @@ def witnesses_account_for(f: LaurentSeries, cls: ASCoverClass, witnesses) -> boo
     """Check f - sum w(witness) has negative part cls.rep and constant-term
     trace cls.const_class.  (The positive tail is absorbed implicitly and is
     not certified here.)"""
-    g = f
-    for w in witnesses:
-        g = g - artin_schreier(w)
-    if dict(g.negative_part().coeffs) != {-i: c for i, c in cls.rep.coeffs.items()}:
-        return False
-    return const_class(g.constant_term()) == cls.const_class
+    pairs = [pair for w in witnesses for pair in w.polar_codes().items()]
+    rep = cls.rep.as_series().polar_codes()
+    return _witnesses_hold(f.field, f.polar_codes(), rep, cls.const_class, pairs)
 
 
 def uniformizer_params(p: int, j: int) -> tuple[int, int, int, int]:
@@ -257,8 +283,7 @@ class CoverRing:
         return self.field.p
 
     def zero(self) -> "CoverElement":
-        z = LaurentSeries.zero(self.field, self.prec)
-        return CoverElement(self, tuple(z for _ in range(self.p)))
+        return CoverElement(self, (LaurentSeries.zero(self.field, self.prec),) * self.p)
 
     def element(self, comps) -> "CoverElement":
         comps = [c.truncate(self.prec) for c in comps]
@@ -270,7 +295,7 @@ class CoverRing:
         """The element coeff * t^n * g^i."""
         if not 0 <= i < self.p:
             raise ValueError("basis exponent out of range")
-        comps = [LaurentSeries.zero(self.field, self.prec) for _ in range(self.p)]
+        comps = list(self.zero().comps)
         comps[i] = LaurentSeries(self.field, {n: self.field.coerce(coeff)}, self.prec)
         return CoverElement(self, tuple(comps))
 
@@ -292,8 +317,7 @@ class CoverElement:
         return CoverElement(self.ring, tuple(a + b for a, b in zip(self.comps, other.comps)))
 
     def __sub__(self, other):
-        self._check(other)
-        return CoverElement(self.ring, tuple(a - b for a, b in zip(self.comps, other.comps)))
+        return self + -other
 
     def __neg__(self):
         return CoverElement(self.ring, tuple(-a for a in self.comps))
@@ -302,7 +326,7 @@ class CoverElement:
         self._check(other)
         p = self.ring.p
         f = self.ring.f_lift
-        prod: list[LaurentSeries] = [LaurentSeries.zero(self.ring.field, INF) for _ in range(2 * p - 1)]
+        prod = [LaurentSeries.zero(self.ring.field)] * (2 * p - 1)
         for i, a in enumerate(self.comps):
             if a.is_zero() and a.prec == INF:
                 continue
@@ -328,7 +352,7 @@ class CoverElement:
     def sigma(self) -> "CoverElement":
         """The generator of the Galois action: g -> g + 1, re-expanded."""
         p = self.ring.p
-        out = [LaurentSeries.zero(self.ring.field, INF) for _ in range(p)]
+        out = [LaurentSeries.zero(self.ring.field)] * p
         for m, a in enumerate(self.comps):
             if a.is_zero() and a.prec == INF:
                 continue
@@ -409,10 +433,7 @@ def verify_jump(cls: ASCoverClass, prec=None) -> bool:
 def count_rep_covers(q: int, j: int) -> int:
     """Number of representative polynomials over F_q with jump exactly j:
     (q-1) * q^(j-1-floor(j/p)) for j > 0 coprime to p, and 1 for j = 0."""
-    pe = prime_power_decomposition(q)
-    if pe is None:
-        raise ValueError(f"{q} is not a prime power")
-    p = pe[0]
+    p = require_prime_power(q)[0]
     if j == 0:
         return 1
     if j < 0 or j % p == 0:
@@ -426,16 +447,13 @@ def count_extensions(q: int, j: int) -> int:
     field extension is counted p - 1 times among covers (once per choice of
     Galois-group generator), so N = p * count_rep_covers(q, j) / (p - 1);
     this is always an integer."""
-    pe = prime_power_decomposition(q)
-    if pe is None:
-        raise ValueError(f"{q} is not a prime power")
-    p = pe[0]
+    p = require_prime_power(q)[0]
     if j <= 0 or j % p == 0:
         raise InvalidJump(f"jump {j} must be positive and coprime to {p}")
-    n = Fraction(p * count_rep_covers(q, j), p - 1)
-    if n.denominator != 1:
-        raise InternalMismatch(f"extension count {n} for q = {q}, j = {j} is not an integer")
-    return int(n)
+    n, r = divmod(p * count_rep_covers(q, j), p - 1)
+    if r:
+        raise InternalMismatch(f"extension count for q = {q}, j = {j} is not an integer")
+    return n
 
 
 @dataclass
@@ -465,19 +483,8 @@ class CensusReport:
         )
 
     def to_json(self, list_forms: bool = False) -> dict:
-        out = {
-            "p": self.p,
-            "q": self.q,
-            "max_exp": self.max_exp,
-            "total_inputs": self.total_inputs,
-            "class_count": self.class_count,
-            "expected_class_count": self.expected_class_count,
-            "jump_histogram": [list(r) for r in self.jump_histogram],
-            "expected_fiber_size": self.expected_fiber_size,
-            "fibers_uniform": self.fibers_uniform,
-            "witnesses_ok": self.witnesses_ok,
-            "all_ok": self.all_ok,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name not in ("fiber_sizes", "classes")}
+        out["all_ok"] = self.all_ok
         if list_forms:
             out["normal_forms"] = [c.to_json() for c in self.classes]
             out["fiber_size_per_form"] = [self.fiber_sizes[c.key()] for c in self.classes]
@@ -492,37 +499,30 @@ def enumerate_covers(q: int, max_exp: int, guard: int = 10 ** 7) -> CensusReport
     normal forms against the stratum formula, and checks that every
     reduction fiber has exactly q^floor(max_exp/p) elements.
     """
-    pe = prime_power_decomposition(q)
-    if pe is None:
-        raise ValueError(f"{q} is not a prime power")
-    p, e = pe
+    p, e = require_prime_power(q)
     if q ** max_exp > guard:
         raise EnumerationTooLarge(f"{q}^{max_exp} exceeds the enumeration guard {guard}")
     F = GF(p, e)
-    elements = list(F.elements())
-    fibers: dict[tuple, int] = {}
-    class_by_key: dict[tuple, ASCoverClass] = {}
+    element = list(F.elements()).__getitem__  # classes share one object per element
+    exponents = range(-1, -max_exp - 1, -1)
+    fibers = {}
+    class_by_key = {}
     witnesses_ok = True
-    for combo in itertools.product(elements, repeat=max_exp):
-        coeffs = {-(i + 1): c for i, c in enumerate(combo) if not c.is_zero()}
-        f = LaurentSeries(F, coeffs)
-        cls, wits = reduce_with_witnesses(f)
-        if not witnesses_account_for(f, cls, wits):
+    for combo in itertools.product(range(q), repeat=max_exp):
+        f = {e: c for e, c in zip(exponents, combo) if c}
+        rep, const, witnesses = _reduce_codes(F, f)
+        if not _witnesses_hold(F, f, rep, const, witnesses):
             witnesses_ok = False
-        k = cls.key()
-        fibers[k] = fibers.get(k, 0) + 1
-        class_by_key.setdefault(k, cls)
+        k = (tuple(sorted((-e, c) for e, c in rep.items())), const)  # == ASCoverClass.key()
+        n = fibers.get(k)
+        if n is None:
+            class_by_key[k] = _cover_class(F, rep, const, element)
+            n = 0
+        fibers[k] = n + 1
     classes = [class_by_key[k] for k in sorted(class_by_key)]
-    hist: dict[int, int] = {}
-    for cls in classes:
-        hist[cls.jump] = hist.get(cls.jump, 0) + 1
-    jump_rows = []
-    for j in range(max_exp + 1):
-        if j > 0 and j % p == 0:
-            continue
-        expected = count_rep_covers(q, j)
-        got = hist.get(j, 0)
-        jump_rows.append([j, got, expected, got == expected])
+    hist = Counter(cls.jump for cls in classes)
+    expected = {j: count_rep_covers(q, j) for j in range(max_exp + 1) if j == 0 or j % p}
+    jump_rows = [[j, hist[j], n, hist[j] == n] for j, n in expected.items()]
     expected_fiber = q ** (max_exp // p)
     fibers_uniform = set(fibers.values()) == {expected_fiber}
     return CensusReport(

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from typing import Iterator
 
 
@@ -23,36 +24,80 @@ class InternalMismatch(AssertionError):
     """An internal invariant of a computation failed (must not happen)."""
 
 
+# Deterministic Miller-Rabin: the first 13 prime bases decide primality
+# exactly for every n below this bound (Sorenson-Webster, Math. Comp. 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_BOUND = 3317044064679887385961981
+
+
+class PrimalityUnproven(ValueError):
+    """n passed every Miller-Rabin base but lies above the bound where that is a proof."""
+
+
 def is_prime(n: int) -> bool:
+    """Exact primality below MR_BOUND; above it a composite found by a witness
+    is reported, and otherwise PrimalityUnproven is raised rather than a guess."""
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
+    if n >= MR_BOUND:
+        raise PrimalityUnproven(
+            f"{n} is a probable prime above {MR_BOUND}, where the 13-base Miller-Rabin test is no proof"
+        )
     return True
 
 
+def _iroot(n: int, k: int) -> int:
+    """Largest r with r**k <= n, for n >= 1, by integer Newton steps."""
+    r = 1 << -(-n.bit_length() // k)  # 2^ceil(bits/k) is at least the root
+    while True:
+        s = ((k - 1) * r + n // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
+
+
 def prime_power_decomposition(q: int) -> tuple[int, int] | None:
-    """Return (p, e) with q = p^e and p prime, or None."""
+    """Return (p, e) with q = p^e and p prime, or None.
+
+    q is written as r^e with e as large as possible, by exact integer k-th
+    roots for prime k; q is a prime power iff that root r is prime."""
     if q < 2:
         return None
-    d = 2
-    while d * d <= q:
-        if q % d == 0:
-            e = 0
-            m = q
-            while m % d == 0:
-                m //= d
-                e += 1
-            return (d, e) if m == 1 else None
-        d += 1
-    return (q, 1)
+    r, e, k = q, 1, 2
+    while 1 << k <= r:
+        root = _iroot(r, k)
+        if root ** k == r:
+            r, e = root, e * k
+        else:
+            k += 1
+            while not is_prime(k):
+                k += 1
+    return (r, e) if is_prime(r) else None
+
+
+def require_prime_power(q: int) -> tuple[int, int]:
+    """prime_power_decomposition(q), or ValueError if q is not a prime power."""
+    pe = prime_power_decomposition(q)
+    if pe is None:
+        raise ValueError(f"{q} is not a prime power")
+    return pe
 
 
 # -- dense polynomial helpers over F_p (coefficient lists, low degree first) --
@@ -136,6 +181,46 @@ def _find_modulus(p: int, e: int) -> tuple[int, ...]:
         if _is_irreducible(cand, p):
             return tuple(cand)
     raise AssertionError("no irreducible polynomial found")  # unreachable
+
+
+class _Memo(dict):
+    """A dict that fills a missing entry from fn on first lookup."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
+def _code_maps(F):
+    """GaloisField.codes: the maps (add, neg, frobenius, pth_root, trace) on
+    codes, the base-p encodings of GFElement.encode, for int-coded cores;
+    trace returns an int in {0, ..., p-1}.  Prime fields use integer
+    arithmetic mod p, where Frobenius, root and trace are the identity
+    (int); p = 2 adds by XOR.  Every other map is memoized from the
+    GFElement operation on first use, so no size-q table is built up front.
+    Root and Frobenius are computed each on its own, never one as the
+    inverse of the other, so the witness check can catch a wrong root."""
+    p = F.p
+    if F.e == 1:
+        if p == 2:
+            return operator.xor, int, int, int, int
+        return (lambda a, b: (a + b) % p), (lambda a: -a % p), int, int, int
+
+    def memo(op):
+        return _Memo(lambda n: op(F.from_encoding(n))).__getitem__
+
+    if p == 2:
+        add, neg = operator.xor, int
+    else:
+        sums = _Memo(lambda ab: (F.from_encoding(ab[0]) + F.from_encoding(ab[1])).encode())
+        add, neg = (lambda a, b: sums[a, b]), memo(lambda x: (-x).encode())
+    frobenius = memo(lambda x: x.frobenius().encode())
+    return add, neg, frobenius, memo(lambda x: x.pth_root().encode()), memo(GFElement.trace)
 
 
 class GFElement:
@@ -273,6 +358,7 @@ class GaloisField:
         self.modulus = _find_modulus(p, e)
         self.zero = GFElement(self, (0,) * e)
         self.one = self.element(1)
+        self.codes = _code_maps(self)
 
     def element(self, value) -> GFElement:
         """Build an element from an int (reduced mod p), an int list/tuple

@@ -138,8 +138,12 @@ class LaurentSeries:
 
     # -- pieces --
 
-    def negative_part(self) -> "LaurentSeries":
-        return LaurentSeries(self.field, {e: c for e, c in self.coeffs.items() if e < 0}, self.prec)
+    def polar_codes(self) -> dict[int, int]:
+        """The terms up to t^0 as {exponent: code}, codes as in
+        GFElement.encode; the constant term must be known."""
+        if self.prec < 0:
+            raise InsufficientPrecision(f"constant term unknown: precision {self.prec} < 0")
+        return {e: c.encode() for e, c in self.coeffs.items() if e <= 0}
 
     def constant_term(self) -> GFElement:
         return self.coefficient(0)

@@ -22,7 +22,7 @@ import math
 from fractions import Fraction
 from typing import Union
 
-from .gf import InternalMismatch, prime_power_decomposition
+from .gf import InternalMismatch, require_prime_power
 
 Rat = Union[int, Fraction]
 
@@ -311,11 +311,8 @@ class MotivicValue:
 
     def point_count(self, q: int) -> Fraction:
         """Substitute the prime power q for L; exact rational result."""
-        pe = prime_power_decomposition(q)
-        if pe is None:
-            raise ValueError(f"{q} is not a prime power")
         # q = p^e has an integer r-th root iff r divides e, and it is p^(e/r)
-        p, e = pe
+        p, e = require_prime_power(q)
         if e % self.scale:
             raise FractionalPowerUnevaluable(
                 f"scale {self.scale} requires q to be a perfect {self.scale}-th power (got {q})"

@@ -1,6 +1,10 @@
 """CLI surface: reports, schema conformance, determinism, exit codes."""
 
+import hashlib
 import json
+import subprocess
+import sys
+import time
 
 import jsonschema
 import pytest
@@ -153,3 +157,79 @@ class TestOutputContracts:
     def test_usage_error(self, capsys):
         with pytest.raises(SystemExit):
             main(["covers", "reduce", "--p", "2"])
+
+    def test_invariant_rings_load_on_use(self):
+        # stringy and covers calls do not import (and so do not compile) it
+        code = "import sys, wildmckay.cli; print('wildmckay.invariant_rings' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True).stdout
+        assert out.strip() == "False"
+
+
+class TestGoldenOutputs:
+    """stdout SHA-256 frozen before the int-coded reduction core, so the
+    extension-field paths the benchmark never reaches keep their output."""
+
+    CENSUS = [
+        ((2, 6), "f7a30391f4fbe6a40a1edc3c4a2f0e6e2d8c77eb73f9e02d7a87392a06bcafa1"),
+        ((3, 4), "5610750130b6c852b89d49faec05fcde908baf515ee78366c7be10c67eb5c262"),
+        ((4, 3), "fea842a7258905896628b5e4ae797f4c75489e7d812ce7e8fa8d724c769fcf10"),
+        ((8, 2), "04363f0ad66c46ae78b4ca070b488b51073bba0dbc4ec6ff8d3266ed74ea539a"),
+        ((9, 2), "c0278d09926bb9d71762189d62e7ba3a6b0bc9b7a43076a5b2af48af8af61cac"),
+        ((25, 1), "f64fea031e2e403a62ea2f09f1941419e06cbf8153100dcb8c66b7a66f0deda4"),
+        ((5, 3), "b43090fdaaaf6c9ef931fcf15a3b4e55295d3627f5c4ce94389ae7b979e570a5"),
+    ]
+    REDUCE = [
+        ((2, 8, "-12:y,-8:1+y^2,-3:y^2,0:y,2:1"),
+         "ce71d0145615b0f67b32f1ec2edc3f4006b1da94f3d782554e242234d31008e3"),
+        ((2, 8, "-64:1+y,-6:y^2,0:1+y+y^2"),
+         "e21f86ddc202f7ded5d920d1beb184487426aff81950ad07536bb2196a3881d1"),
+        ((3, 9, "-27:y,-18:2+y,-9:1,-4:2*y,0:1+y,1:2"),
+         "398cebb0ade0c3f0e4242b6ece7ca6ac82524cb81083334b266491c32c69d1b7"),
+        ((3, 9, "-81:2+2*y,-5:y,0:2"),
+         "c3f9c18c278a53177cb606ff63d65ba58b7ab9c67f9b87c374fea02cd3060bab"),
+        ((5, 25, "-25:3+y,-10:4*y,-5:2,-3:1+y,0:y,3:4"),
+         "8402037fc8537ccd666fe623d9c8567fa802efaed24e1ea2cc7102bce03696a8"),
+        ((5, 25, "-125:y,-50:2+3*y,-2:1,0:3+y"),
+         "4b879052b381df545e3aaae7bb1f1d4f81244b9e0faf697914d67c0d431a0d87"),
+    ]
+
+    @pytest.mark.parametrize("case,digest", CENSUS)
+    def test_census_list_forms(self, capsys, case, digest):
+        q, j = case
+        p = next(p for p in (2, 3, 5) if q % p == 0)
+        code, out = run(capsys, "covers", "census", "--p", str(p), "--q", str(q),
+                        "--max-exp", str(j), "--list-forms")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("case,digest", REDUCE)
+    def test_reduce(self, capsys, case, digest):
+        p, q, text = case
+        code, out = run(capsys, "covers", "reduce", "--p", str(p), "--q", str(q), f"--series={text}")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+class TestHugeModuli:
+    MERSENNE_61 = 2 ** 61 - 1
+    MERSENNE_89 = 2 ** 89 - 1  # prime, but above the deterministic Miller-Rabin bound
+
+    def test_mersenne_pointcount_is_a_quick_mismatch(self, capsys):
+        start = time.perf_counter()
+        code, _ = run(capsys, "stringy", "pointcount", "--p", "3", "--dims", "3",
+                      "--q", str(self.MERSENNE_61))
+        assert code == 2
+        assert time.perf_counter() - start < 1.0
+
+    def test_reduce_over_a_huge_prime_field(self, capsys):
+        p = str(self.MERSENNE_61)
+        start = time.perf_counter()
+        code, data = run_json(capsys, "covers", "reduce", "--p", p, "--q", p, "--series=-2:1")
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        assert data == {"rep": {"terms": [[2, 1]]}, "const_class": 0, "jump": 2}
+
+    def test_unprovable_prime_is_a_precondition_error(self, capsys):
+        p = str(self.MERSENNE_89)
+        assert main(["covers", "reduce", "--p", p, "--q", p, "--series=-2:1"]) == 2
+        assert "Miller-Rabin" in capsys.readouterr().err

@@ -4,6 +4,8 @@ import random
 
 import pytest
 
+from wildmckay import covers
+from wildmckay.cli import main
 from wildmckay.covers import (
     ASCoverClass,
     CoverRing,
@@ -22,7 +24,7 @@ from wildmckay.covers import (
     witnesses_account_for,
 )
 from wildmckay.gf import GF
-from wildmckay.laurent import InsufficientPrecision, LaurentSeries, artin_schreier
+from wildmckay.laurent import INF, InsufficientPrecision, LaurentSeries, artin_schreier
 
 F2 = GF(2)
 F3 = GF(3)
@@ -317,3 +319,79 @@ class TestCensus:
         a = enumerate_covers(2, 4).to_json(list_forms=True)
         b = enumerate_covers(2, 4).to_json(list_forms=True)
         assert a == b
+
+
+class TestIntCodedCore:
+    """The census and the LaurentSeries adapters share one int-coded core."""
+
+    @staticmethod
+    def laurent_route(f, cls, witnesses):
+        # the check redone with LaurentSeries arithmetic, independent of the core
+        g = f
+        for w in witnesses:
+            g = g - artin_schreier(w)
+        neg = {e: c for e, c in g.coeffs.items() if e < 0}
+        return neg == {-i: c for i, c in cls.rep.coeffs.items()} and const_class(g.constant_term()) == cls.const_class
+
+    @pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2), (5, 2)])
+    def test_adapter_matches_core(self, p, e):
+        F = GF(p, e)
+        rng = random.Random(p * 10 + e)
+        for _ in range(150):
+            prec = rng.randint(0, 3)
+            codes = {rng.randint(-60, prec): rng.randrange(1, F.order) for _ in range(rng.randint(0, 7))}
+            f = series(F, {x: F.from_encoding(c) for x, c in codes.items()}, prec=prec)
+            cls, wits = reduce_with_witnesses(f)
+            polar = {x: c for x, c in codes.items() if x <= 0}
+            assert f.polar_codes() == polar
+            rep, const, core_wits = covers._reduce_codes(F, polar)
+            assert cls.key() == (tuple(sorted((-x, c) for x, c in rep.items())), const)
+            assert [(w.order(), w.coefficient(w.order()).encode()) for w in wits] == core_wits
+            assert all(len(w.coeffs) == 1 and w.prec == INF for w in wits)
+            assert witnesses_account_for(f, cls, wits) is True
+            assert covers._witnesses_hold(F, polar, rep, const, core_wits) is True
+            assert self.laurent_route(f, cls, wits)
+            if wits:
+                # dropping a witness must be caught by both routes
+                assert not witnesses_account_for(f, cls, wits[1:])
+                assert not self.laurent_route(f, cls, wits[1:])
+
+    def test_witness_check_needs_the_constant_term(self):
+        f = series(F2, {-2: 1}, prec=-1)
+        with pytest.raises(InsufficientPrecision):
+            witnesses_account_for(f, reduce(series(F2, {-2: 1})), [])
+
+    @pytest.mark.parametrize("map_name,index", [("pth_root", 3), ("frobenius", 2)])
+    def test_wrong_field_map_fails_the_census(self, map_name, index, monkeypatch, capsys):
+        # root and Frobenius are memoized separately, so one wrong entry in
+        # either makes the reduction and its check disagree
+        F4 = GF(2, 2)
+        memo = F4.codes[index].__self__
+        right = getattr(F4.from_encoding(1), map_name)().encode()
+        monkeypatch.setitem(memo, 1, right ^ 2)
+        report = enumerate_covers(4, 4)
+        assert report.witnesses_ok is False and report.all_ok is False
+        assert main(["covers", "census", "--p", "2", "--q", "4", "--max-exp", "4"]) == 3
+        assert '"witnesses_ok": false' in capsys.readouterr().out
+
+    def test_one_class_object_per_class(self, monkeypatch):
+        built = []
+        init = ASCoverClass.__init__
+
+        def counting_init(self, *args):
+            built.append(1)
+            init(self, *args)
+
+        monkeypatch.setattr(ASCoverClass, "__init__", counting_init)
+        report = enumerate_covers(3, 5)
+        assert report.all_ok
+        assert len(built) == report.class_count == 81
+
+    @pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (2, 3), (3, 2), (5, 2)])
+    def test_lift_constant_is_first_of_its_trace(self, p, e):
+        F = GF(p, e)
+        for t in range(1, p):
+            first = next(x for x in F.elements() if x.trace() == t)
+            lifted = ASCoverClass(RepPoly(F, {1: 1}), t).lift()
+            assert lifted.constant_term() == first
+            assert reduce(lifted).const_class == t

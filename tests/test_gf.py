@@ -3,8 +3,9 @@
 import random
 
 import pytest
+import sympy
 
-from wildmckay.gf import GF, is_prime, prime_power_decomposition
+from wildmckay.gf import GF, MR_BOUND, PrimalityUnproven, is_prime, prime_power_decomposition
 
 FIELDS = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (5, 2), (7, 1)]
 
@@ -16,6 +17,62 @@ def test_primality_helpers():
     assert prime_power_decomposition(7) == (7, 1)
     assert prime_power_decomposition(12) is None
     assert prime_power_decomposition(1) is None
+
+
+def test_is_prime_matches_sympy():
+    assert [n for n in range(10 ** 5) if is_prime(n)] == list(sympy.primerange(10 ** 5))
+    rng = random.Random(2017)
+    for _ in range(2000):
+        n = rng.getrandbits(60)
+        assert is_prime(n) == sympy.isprime(n)
+
+
+@pytest.mark.parametrize("n", [
+    3215031751,  # strong pseudoprime to the bases 2, 3, 5, 7
+    3825123056546413051,  # ... to every prime base up to 23
+    318665857834031151167461,  # ... up to 37: the smallest such, caught by base 41
+])
+def test_strong_pseudoprimes_are_composite(n):
+    assert not sympy.isprime(n)
+    assert is_prime(n) is False
+
+
+def test_above_the_bound_no_guess():
+    # MR_BOUND itself is the smallest composite passing all 13 bases
+    with pytest.raises(PrimalityUnproven):
+        is_prime(MR_BOUND)
+    with pytest.raises(PrimalityUnproven):
+        prime_power_decomposition(2 ** 89 - 1)
+    assert is_prime(2 ** 89 + 1) is False  # a witness still proves compositeness
+    assert prime_power_decomposition(2 ** 1100) == (2, 1100)
+    assert prime_power_decomposition(3 ** 120) == (3, 120)
+    assert prime_power_decomposition((2 ** 61 - 1) ** 3) == (2 ** 61 - 1, 3)
+    assert prime_power_decomposition(2 ** 1100 + 1) is None
+    assert prime_power_decomposition(6 ** 40) is None
+
+
+@pytest.mark.parametrize("p,e", FIELDS + [(3, 3), (2, 4)])
+def test_code_maps_agree_with_elements(p, e):
+    F = GF(p, e)
+    add, neg, frobenius, pth_root, trace = F.codes
+    elems = list(F.elements())
+    rng = random.Random(p * 31 + e)
+    for x in elems:
+        n = x.encode()
+        assert neg(n) == (-x).encode()
+        assert frobenius(n) == x.frobenius().encode()
+        assert pth_root(n) == x.pth_root().encode()
+        assert trace(n) == x.trace()
+        y = rng.choice(elems)
+        assert add(n, y.encode()) == (x + y).encode()
+
+
+def test_prime_field_maps_build_no_table():
+    p = 2 ** 61 - 1
+    add, neg, frobenius, pth_root, trace = GF(p).codes
+    assert add(p - 1, 5) == 4 and neg(3) == p - 3
+    assert frobenius(7) == pth_root(7) == trace(7) == 7
+    assert not any(isinstance(getattr(m, "__self__", None), dict) for m in GF(p).codes)
 
 
 def test_modulus_is_deterministic_and_minimal():
