@@ -120,8 +120,10 @@ def _progress(line: str, ok: bool) -> None:
 
 def _cmd_stringy_invariant(args) -> int:
     rep = stringy.RepType(args.p, _parse_dims(args.dims))
-    m = stringy.stringy_invariant(rep)
+    e_st = stringy.stringy_euler(rep)  # raises NotStringilyKLT when D < p
     crepant = stringy.crepant_diagnostic(rep)
+    m = crepant["stringy_invariant"]
+    w = stringy.projectivized_invariant(rep)
     report = {
         "p": rep.p,
         "dims": list(rep.dims),
@@ -129,7 +131,7 @@ def _cmd_stringy_invariant(args) -> int:
         "sht": [[s, stringy.shift_number(rep, s)] for s in range(1, rep.p)],
         "M_st": m.to_json(),
         "M_st_display": str(m),
-        "e_st": _rat(stringy.stringy_euler(rep)),
+        "e_st": _rat(e_st),
         "crepant": {
             "dv_equals_p": crepant["dv_equals_p"],
             "polynomial_class": crepant["polynomial_class"],
@@ -141,8 +143,8 @@ def _cmd_stringy_invariant(args) -> int:
             ),
         },
         "E0": stringy.origin_fiber_class(rep).to_json(),
-        "projectivized": stringy.projectivized_invariant(rep).to_json(),
-        "duality_ok": stringy.poincare_duality_holds(rep),
+        "projectivized": w.to_json(),
+        "duality_ok": w.dual(rep.dim) == w,
     }
     _emit(report, args.format)
     return EXIT_OK

@@ -130,9 +130,14 @@ class ASCoverClass:
 
     def lift(self, prec=INF) -> LaurentSeries:
         """A Laurent series in the class: rep plus the first constant, in
-        encoding order, whose trace (the map F.codes[-1]) is const_class."""
-        F, t = self.field, self.const_class
-        c = next(n for n in range(F.order) if F.codes[-1](n) == t) if t else 0
+        encoding order, whose trace (the map F.codes[-1]) is const_class.
+        The trace is F_p-linear: for the least i with tr(y^i) != 0, all
+        codes below p^i have trace 0, so that constant is t/tr(y^i) * y^i."""
+        F, t, tr = self.field, self.const_class, self.field.codes[-1]
+        c = 0
+        if t:
+            i = next(i for i in range(F.e) if tr(F.p ** i))
+            c = t * pow(tr(F.p ** i), -1, F.p) % F.p * F.p ** i
         return self.rep.as_series(prec) + LaurentSeries(F, {0: F.from_encoding(c)}, prec)
 
     def key(self) -> tuple:

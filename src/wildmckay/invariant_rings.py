@@ -167,9 +167,6 @@ class MultiPoly:
                 out.pop(m, None)
         return MultiPoly(self.p, self.vars, out)
 
-    def total_degree(self) -> int:
-        return max((sum(m) for m in self.terms), default=0)
-
     # -- display (graded lex on the declared variable order) --
 
     def _sorted_terms(self):

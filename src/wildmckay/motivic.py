@@ -13,7 +13,9 @@ with integer coefficients, kept in a unique canonical form:
 Values are immutable; equality is equality of canonical forms.  The
 realizations substitute a number for L: a prime power q for point counts,
 1 for the topological Euler characteristic, T^2 for the Poincare
-polynomial.  All arithmetic is exact (fractions.Fraction, no floats).
+polynomial.  Canonicalization is integer-only: pseudo-division and a
+primitive remainder sequence over Z on the sparse {exponent: coefficient}
+dicts; fractions.Fraction appears only at the realizations.
 """
 
 from __future__ import annotations
@@ -43,41 +45,10 @@ class PoleAtOne(ZeroDivisionError):
     """A genuine pole at L = 1 remains after cancellation."""
 
 
-# -- dense polynomial helpers over Q (coefficient lists, low degree first) --
-
-def _trim(a: list[Fraction]) -> list[Fraction]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _divmod_q(a: list[Fraction], b: list[Fraction]):
-    a = a[:]
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    inv = 1 / b[-1]
-    while len(a) >= len(b) and a:
-        c = a[-1] * inv
-        shift = len(a) - len(b)
-        q[shift] = c
-        for i, bi in enumerate(b):
-            a[shift + i] -= c * bi
-        _trim(a)
-    return _trim(q), a
-
-
-def _gcd_q(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    a, b = a[:], b[:]
-    while b:
-        a, b = b, _divmod_q(a, b)[1]
-    return [c / a[-1] for c in a] if a else a  # monic
-
-
 class LefschetzPoly:
     """Laurent polynomial sum_k c_k * L^(k/r), as {k: c} with scale r.
 
-    Stored coefficients are nonzero integers; k may be negative.  Two
-    polynomials at different scales are equal iff they agree after
-    rescaling to the lcm scale.
+    Stored coefficients are nonzero integers; k may be negative.
     """
 
     __slots__ = ("terms", "scale")
@@ -87,10 +58,6 @@ class LefschetzPoly:
             raise ValueError("scale must be a positive integer")
         self.terms = {int(k): int(c) for k, c in terms.items() if c != 0}
         self.scale = scale
-
-    @classmethod
-    def constant(cls, c: int) -> "LefschetzPoly":
-        return cls({0: c})
 
     def rescaled(self, new_scale: int) -> "LefschetzPoly":
         if new_scale == self.scale:
@@ -103,18 +70,6 @@ class LefschetzPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def __eq__(self, other):
-        if not isinstance(other, LefschetzPoly):
-            return NotImplemented
-        r = math.lcm(self.scale, other.scale)
-        return self.rescaled(r).terms == other.rescaled(r).terms
-
-    def __hash__(self):
-        if not self.terms:
-            return hash((1, ()))
-        g = math.gcd(self.scale, *self.terms)
-        return hash((self.scale // g, tuple(sorted((k // g, c) for k, c in self.terms.items()))))
-
     def evaluate(self, x0: Fraction) -> Fraction:
         """Value at x = L^(1/scale) = x0 (x0 nonzero if negative exponents)."""
         total = Fraction(0)
@@ -123,9 +78,10 @@ class LefschetzPoly:
         return total
 
 
-def _merge(a: LefschetzPoly, b: LefschetzPoly):
-    r = math.lcm(a.scale, b.scale)
-    return a.rescaled(r).terms, b.rescaled(r).terms, r
+def _merge(*polys: LefschetzPoly):
+    """The terms of polys rescaled to the lcm of their scales, and that scale."""
+    r = math.lcm(*(poly.scale for poly in polys))
+    return [poly.rescaled(r).terms for poly in polys], r
 
 
 def _add_terms(a: dict, b: dict) -> dict:
@@ -160,7 +116,7 @@ class MotivicValue:
     def __init__(self, num: LefschetzPoly, den: LefschetzPoly, var: str = "L"):
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
-        n_terms, d_terms, scale = _merge(num, den)
+        (n_terms, d_terms), scale = _merge(num, den)
         n_terms, d_terms, scale = _canonicalize(n_terms, d_terms, scale)
         self.num = LefschetzPoly(n_terms, scale)
         self.den = LefschetzPoly(d_terms, scale)
@@ -212,13 +168,7 @@ class MotivicValue:
 
     def __add__(self, other):
         other = self._coerce(other)
-        an, ad, r1 = _merge(self.num, self.den)
-        bn, bd, r2 = _merge(other.num, other.den)
-        r = math.lcm(r1, r2)
-        an = LefschetzPoly(an, r1).rescaled(r).terms
-        ad = LefschetzPoly(ad, r1).rescaled(r).terms
-        bn = LefschetzPoly(bn, r2).rescaled(r).terms
-        bd = LefschetzPoly(bd, r2).rescaled(r).terms
+        (an, ad, bn, bd), r = _merge(self.num, self.den, other.num, other.den)
         num = _add_terms(_mul_terms(an, bd), _mul_terms(bn, ad))
         den = _mul_terms(ad, bd)
         return MotivicValue(LefschetzPoly(num, r), LefschetzPoly(den, r), self.var)
@@ -240,13 +190,7 @@ class MotivicValue:
 
     def __mul__(self, other):
         other = self._coerce(other)
-        an, ad, r1 = _merge(self.num, self.den)
-        bn, bd, r2 = _merge(other.num, other.den)
-        r = math.lcm(r1, r2)
-        an = LefschetzPoly(an, r1).rescaled(r).terms
-        ad = LefschetzPoly(ad, r1).rescaled(r).terms
-        bn = LefschetzPoly(bn, r2).rescaled(r).terms
-        bd = LefschetzPoly(bd, r2).rescaled(r).terms
+        (an, ad, bn, bd), r = _merge(self.num, self.den, other.num, other.den)
         return MotivicValue(
             LefschetzPoly(_mul_terms(an, bn), r), LefschetzPoly(_mul_terms(ad, bd), r), self.var
         )
@@ -282,10 +226,15 @@ class MotivicValue:
             other = MotivicValue.from_rational(other)
         if not isinstance(other, MotivicValue):
             return NotImplemented
-        return self.num == other.num and self.den == other.den
+        # canonical forms, minimal scale included, are unique
+        return (
+            self.scale == other.scale
+            and self.num.terms == other.num.terms
+            and self.den.terms == other.den.terms
+        )
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        return hash((self.scale, frozenset(self.num.terms.items()), frozenset(self.den.terms.items())))
 
     def __bool__(self):
         return not self.is_zero()
@@ -395,37 +344,68 @@ class MotivicValue:
         return f"MotivicValue({self})"
 
 
+def _divide(a: dict[int, int], b: dict[int, int], exact: bool = False):
+    """Divide a by b over Z; returns (quotient, remainder).
+
+    A step whose leading coefficient lc(b) does not divide first scales a
+    and the quotient so far by lc(b) (pseudo-division), so s*a = quotient*b
+    + remainder for a power s of lc(b), with deg remainder < deg b.  With
+    exact=True, b must divide a over Z: a step that would need scaling, or
+    a nonzero remainder, raises InternalMismatch."""
+    db = max(b)
+    lb = b[db]
+    quot: dict[int, int] = {}
+    while a and (da := max(a)) >= db:
+        c, m = divmod(a[da], lb)
+        if m:
+            if exact:
+                raise InternalMismatch("the divisor does not divide over Z")
+            a = {k: v * lb for k, v in a.items()}
+            quot = {k: v * lb for k, v in quot.items()}
+            c = a[da] // lb
+        quot[da - db] = c
+        a = _add_terms(a, {k + da - db: -c * v for k, v in b.items()})
+    if exact and a:
+        raise InternalMismatch("the divisor leaves a nonzero remainder")
+    return quot, a
+
+
+def _primitive(a: dict[int, int]) -> dict[int, int]:
+    """a over its content, with positive leading coefficient."""
+    if not a:
+        return a
+    g = math.gcd(*a.values())
+    if a[max(a)] < 0:
+        g = -g
+    return {k: c // g for k, c in a.items()}
+
+
+def _gcd(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    """Primitive gcd of two nonzero polynomials over Z: the last nonzero
+    term of their primitive remainder sequence."""
+    a, b = _primitive(a), _primitive(b)
+    while b:
+        a, b = b, _primitive(_divide(a, b)[1])
+    return a
+
+
 def _canonicalize(num: dict[int, int], den: dict[int, int], scale: int):
-    """Reduce (num, den, scale) to the unique canonical representative."""
-    if not den:
-        raise ZeroDivisionError("zero denominator")
+    """Reduce (num, den != 0, scale) to the unique canonical representative."""
     if not num:
         return {}, {0: 1}, 1
     mn, md = min(num), min(den)
-    shift = mn - md
-    # dense Fraction vectors for the x-power-free parts
-    deg_n = max(num) - mn
-    deg_d = max(den) - md
-    a = [Fraction(num.get(mn + i, 0)) for i in range(deg_n + 1)]
-    b = [Fraction(den.get(md + i, 0)) for i in range(deg_d + 1)]
-    g = _gcd_q(a, b)
-    if len(g) > 1:
-        a, ra = _divmod_q(a, g)
-        b, rb = _divmod_q(b, g)
-        if ra or rb:
-            raise InternalMismatch("the gcd does not divide both numerator and denominator")
-    lcm_den = 1
-    for c in a + b:
-        lcm_den = math.lcm(lcm_den, c.denominator)
-    ai = [int(c * lcm_den) for c in a]
-    bi = [int(c * lcm_den) for c in b]
-    content = math.gcd(*(abs(c) for c in ai + bi))
-    if bi[-1] < 0:
+    a = {k - mn: c for k, c in num.items()}
+    b = {k - md: c for k, c in den.items()}
+    g = _gcd(a, b)
+    if max(g):
+        # g is primitive, so by Gauss's lemma both quotients are integral
+        a = _divide(a, g, exact=True)[0]
+        b = _divide(b, g, exact=True)[0]
+    content = math.gcd(*a.values(), *b.values())
+    if b[max(b)] < 0:
         content = -content
-    ai = [c // content for c in ai]
-    bi = [c // content for c in bi]
-    num = {shift + i: c for i, c in enumerate(ai) if c}
-    den = {i: c for i, c in enumerate(bi) if c}
+    num = {k + mn - md: c // content for k, c in a.items()}
+    den = {k: c // content for k, c in b.items()}
     g0 = math.gcd(scale, *num, *den)
     if g0 > 1:
         num = {k // g0: c for k, c in num.items()}

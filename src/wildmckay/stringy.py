@@ -212,13 +212,16 @@ def stringy_euler(rep: RepType) -> Fraction:
 def crepant_diagnostic(rep: RepType) -> dict:
     """Necessary conditions for a crepant resolution Y of the quotient:
     D = p, the invariant is a polynomial in L, its Euler characteristic is
-    p, and then the class of Y would be the invariant itself."""
+    p, and then the class of Y would be the invariant itself.  The report
+    also carries that invariant (None when D < p, where it diverges)."""
     D = shift_slope(rep)
     report: dict = {"dv": D, "p": rep.p, "dv_equals_p": D == rep.p}
     if D < rep.p:
-        report.update(polynomial_class=None, euler_is_p=None, candidate_class_of_Y=None)
+        report.update(
+            stringy_invariant=None, polynomial_class=None, euler_is_p=None, candidate_class_of_Y=None
+        )
         return report
-    m = stringy_invariant(rep)
+    m = report["stringy_invariant"] = stringy_invariant(rep)
     report["polynomial_class"] = m.is_polynomial()
     report["euler_is_p"] = m.euler_characteristic() == rep.p
     report["candidate_class_of_Y"] = m if report["dv_equals_p"] else None

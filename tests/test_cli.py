@@ -39,6 +39,21 @@ class TestStringyCommands:
         assert data["E0"] == {"scale": 1, "num": [[0, 1], [1, 2]], "den": [[0, 1]]}
         assert data["duality_ok"] is True
 
+    def test_invariant_builds_each_quantity_once(self, capsys, monkeypatch):
+        from wildmckay import stringy
+
+        calls = []
+        twisted_sum = stringy._twisted_sum
+
+        def counting(*args):
+            calls.append(args)
+            return twisted_sum(*args)
+
+        monkeypatch.setattr(stringy, "_twisted_sum", counting)
+        code, _ = run(capsys, "stringy", "invariant", "--p", "13", "--dims", "13,13")
+        assert code == 0
+        assert len(calls) == 3  # M_st, E0 and the projectivization
+
     def test_invariant_not_klt_exit_2(self, capsys):
         code, _ = run(capsys, "stringy", "invariant", "--p", "2", "--dims", "2")
         assert code == 2

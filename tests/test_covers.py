@@ -1,6 +1,7 @@
 """Cover classification: reduction, jumps, the valuation oracle, census."""
 
 import random
+import time
 
 import pytest
 
@@ -387,7 +388,9 @@ class TestIntCodedCore:
         assert report.all_ok
         assert len(built) == report.class_count == 81
 
-    @pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (2, 3), (3, 2), (5, 2)])
+    @pytest.mark.parametrize(
+        "p,e", [(2, 1), (3, 1), (2, 2), (2, 3), (3, 2), (5, 2), (2, 4), (3, 3), (5, 5), (7, 2)]
+    )
     def test_lift_constant_is_first_of_its_trace(self, p, e):
         F = GF(p, e)
         for t in range(1, p):
@@ -395,3 +398,12 @@ class TestIntCodedCore:
             lifted = ASCoverClass(RepPoly(F, {1: 1}), t).lift()
             assert lifted.constant_term() == first
             assert reduce(lifted).const_class == t
+        assert ASCoverClass(RepPoly(F, {1: 1}), 0).lift().constant_term().is_zero()
+
+    def test_lift_over_a_huge_prime_field(self):
+        # the constant comes from a closed form, not a scan over the field
+        F = GF(2 ** 61 - 1)
+        start = time.perf_counter()
+        lifted = ASCoverClass(RepPoly(F, {1: 1}), 2 ** 40).lift()
+        assert time.perf_counter() - start < 1.0
+        assert lifted.constant_term() == F.element(2 ** 40)

@@ -172,16 +172,19 @@ class TestCrepantDiagnostic:
         assert report["candidate_class_of_Y"] == lp(3) + 2 * lp(2)
         report = crepant_diagnostic(RepType(2, [2, 2]))
         assert report["candidate_class_of_Y"] == lp(4) + lp(3)
+        assert report["stringy_invariant"] is report["candidate_class_of_Y"]
 
     def test_below_threshold(self):
         report = crepant_diagnostic(RepType(3, [2, 2]))
         assert report["dv_equals_p"] is False
         assert report["polynomial_class"] is None
+        assert report["stringy_invariant"] is None
 
     def test_above_threshold(self):
         report = crepant_diagnostic(RepType(3, [3, 2]))
         assert report["dv_equals_p"] is False
         assert report["candidate_class_of_Y"] is None
+        assert report["stringy_invariant"] == stringy_invariant(RepType(3, [3, 2]))
 
 
 class TestOriginFiber:
