@@ -6,7 +6,8 @@ Output is deterministic for a fixed invocation (including --seed); colors
 only ever appear on the stderr progress stream and honor NO_COLOR.
 
 Exit codes: 0 success, 1 internal error, 2 precondition violation
-(NotStringilyKLT, NotKLT, invalid flags), 3 verification failure.
+(gf.PreconditionError: NotStringilyKLT, NotKLT, invalid flags and
+values), 3 verification failure.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from fractions import Fraction
 from importlib import resources
 
 from . import acceptance, covers, stringy
-from .gf import GF, prime_power_decomposition
+from .gf import GF, PreconditionError, prime_power_decomposition
 from .laurent import LaurentSeries
 from .motivic import MotivicValue
 
@@ -27,16 +28,6 @@ EXIT_OK = 0
 EXIT_INTERNAL = 1
 EXIT_PRECONDITION = 2
 EXIT_VERIFICATION = 3
-
-_PRECONDITION_ERRORS = (
-    stringy.NotStringilyKLT,
-    stringy.NotKLT,
-    stringy.BaseFieldMismatch,
-    covers.InvalidJump,
-    covers.EnumerationTooLarge,
-    ValueError,
-)
-
 
 def schema_path() -> str:
     return str(resources.files("wildmckay").joinpath("schema.json"))
@@ -50,14 +41,14 @@ def _parse_fraction(text: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise ValueError(f"expected a rational like 3 or -1/2, got {text!r}")
+        raise PreconditionError(f"expected a rational like 3 or -1/2, got {text!r}")
 
 
 def _parse_dims(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(","))
     except ValueError:
-        raise ValueError(f"expected comma-separated dimensions like 2,2,1, got {text!r}")
+        raise PreconditionError(f"expected comma-separated dimensions like 2,2,1, got {text!r}")
 
 
 def _parse_series(field, text: str) -> LaurentSeries:
@@ -68,9 +59,11 @@ def _parse_series(field, text: str) -> LaurentSeries:
         for chunk in text.split(","):
             exp_s, _, coeff_s = chunk.partition(":")
             if not coeff_s:
-                raise ValueError(f"malformed series term {chunk!r}; expected exp:coeff")
-            e = int(exp_s)
-            c = field.parse(coeff_s)
+                raise PreconditionError(f"malformed series term {chunk!r}; expected exp:coeff")
+            try:
+                e, c = int(exp_s), field.parse(coeff_s)
+            except ValueError as exc:
+                raise PreconditionError(f"malformed series term {chunk!r}: {exc}") from None
             coeffs[e] = coeffs.get(e, field.zero) + c
     return LaurentSeries(field, {e: c for e, c in coeffs.items() if not c.is_zero()})
 
@@ -78,7 +71,7 @@ def _parse_series(field, text: str) -> LaurentSeries:
 def _field_for(p: int, q: int):
     pe = prime_power_decomposition(q)
     if pe is None or pe[0] != p:
-        raise ValueError(f"--q must be a power of --p (got q={q}, p={p})")
+        raise PreconditionError(f"--q must be a power of --p (got q={q}, p={p})")
     return GF(p, pe[1])
 
 
@@ -237,7 +230,7 @@ def _cmd_suite(args) -> int:
     results = acceptance.run_suite(seed=args.seed, only=args.only)
     if not results:
         known = ", ".join(name for name, _ in acceptance.CRITERIA)
-        raise ValueError(f"--only {args.only!r} matches no criterion (known: {known})")
+        raise PreconditionError(f"--only {args.only!r} matches no criterion (known: {known})")
     for r in results:
         _progress(r.line, r.ok)
     report = {
@@ -338,7 +331,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except _PRECONDITION_ERRORS as exc:
+    except PreconditionError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_PRECONDITION
     except Exception as exc:  # noqa: BLE001 - the CLI boundary reports and exits

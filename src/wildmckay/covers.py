@@ -21,11 +21,11 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field, fields
 
-from .gf import GF, GaloisField, GFElement, InternalMismatch, require_prime_power
+from .gf import GF, GaloisField, GFElement, InternalMismatch, PreconditionError, binary_power, require_prime_power
 from .laurent import INF, InsufficientPrecision, LaurentSeries
 
 
-class InvalidJump(ValueError):
+class InvalidJump(PreconditionError):
     """Positive ramification jumps must be coprime to p."""
 
 
@@ -33,7 +33,7 @@ class ZeroOrBelowPrecision(ArithmeticError):
     """No nonzero coefficient is visible at the tracked precision."""
 
 
-class EnumerationTooLarge(ValueError):
+class EnumerationTooLarge(PreconditionError):
     """The requested census exceeds the enumeration guard."""
 
 
@@ -345,14 +345,7 @@ class CoverElement:
         return self.ring.element(prod[:p])
 
     def __pow__(self, n: int):
-        result = self.ring.monomial(0, 0)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return binary_power(self, n, self.ring.monomial(0, 0))
 
     def sigma(self) -> "CoverElement":
         """The generator of the Galois action: g -> g + 1, re-expanded."""
@@ -427,9 +420,7 @@ def verify_jump(cls: ASCoverClass, prec=None) -> bool:
     q_, _r, l_, c_ = uniformizer_params(cls.field.p, j)
     ring = CoverRing(cls, prec)
     s = ring.monomial(l_ * q_ - c_, 0) * ring.gen() ** l_
-    if s.valuation() != 1:
-        return False
-    return (s.sigma() - s).valuation() == j + 1
+    return s.valuation() == 1 and (s.sigma() - s).valuation() == j + 1
 
 
 # -- counting and enumeration ------------------------------------------------
@@ -505,6 +496,8 @@ def enumerate_covers(q: int, max_exp: int, guard: int = 10 ** 7) -> CensusReport
     reduction fiber has exactly q^floor(max_exp/p) elements.
     """
     p, e = require_prime_power(q)
+    if max_exp < 0:
+        raise PreconditionError(f"max_exp {max_exp} must be non-negative")
     if q ** max_exp > guard:
         raise EnumerationTooLarge(f"{q}^{max_exp} exceeds the enumeration guard {guard}")
     F = GF(p, e)
@@ -516,8 +509,7 @@ def enumerate_covers(q: int, max_exp: int, guard: int = 10 ** 7) -> CensusReport
     for combo in itertools.product(range(q), repeat=max_exp):
         f = {e: c for e, c in zip(exponents, combo) if c}
         rep, const, witnesses = _reduce_codes(F, f)
-        if not _witnesses_hold(F, f, rep, const, witnesses):
-            witnesses_ok = False
+        witnesses_ok &= _witnesses_hold(F, f, rep, const, witnesses)
         k = (tuple(sorted((-e, c) for e, c in rep.items())), const)  # == ASCoverClass.key()
         n = fibers.get(k)
         if n is None:

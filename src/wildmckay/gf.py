@@ -24,13 +24,17 @@ class InternalMismatch(AssertionError):
     """An internal invariant of a computation failed (must not happen)."""
 
 
+class PreconditionError(ValueError):
+    """An input violates a documented precondition (the CLI's exit 2)."""
+
+
 # Deterministic Miller-Rabin: the first 13 prime bases decide primality
 # exactly for every n below this bound (Sorenson-Webster, Math. Comp. 2017).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 MR_BOUND = 3317044064679887385961981
 
 
-class PrimalityUnproven(ValueError):
+class PrimalityUnproven(PreconditionError):
     """n passed every Miller-Rabin base but lies above the bound where that is a proof."""
 
 
@@ -93,10 +97,10 @@ def prime_power_decomposition(q: int) -> tuple[int, int] | None:
 
 
 def require_prime_power(q: int) -> tuple[int, int]:
-    """prime_power_decomposition(q), or ValueError if q is not a prime power."""
+    """prime_power_decomposition(q), or PreconditionError if q is not a prime power."""
     pe = prime_power_decomposition(q)
     if pe is None:
-        raise ValueError(f"{q} is not a prime power")
+        raise PreconditionError(f"{q} is not a prime power")
     return pe
 
 
@@ -138,8 +142,25 @@ def _ppowmod(a: list[int], n: int, m: list[int], p: int) -> list[int]:
     while n:
         if n & 1:
             result = _pmod(_pmul(result, base, p), m, p)
-        base = _pmod(_pmul(base, base, p), m, p)
         n >>= 1
+        if n:
+            base = _pmod(_pmul(base, base, p), m, p)
+    return result
+
+
+def binary_power(base, n: int, one):
+    """base ** n, one for n = 0, by square-and-multiply: no product with one, no unused square."""
+    if n < 0:
+        raise ValueError(f"negative exponent {n}")
+    if not n:
+        return one
+    while not n & 1:
+        base, n = base * base, n >> 1
+    result = base
+    while n := n >> 1:
+        base = base * base
+        if n & 1:
+            result = result * base
     return result
 
 
@@ -153,31 +174,24 @@ def _is_irreducible(m: list[int], p: int) -> bool:
     # m monic of degree e: irreducible iff y^(p^e) = y mod m and
     # gcd(y^(p^(e/l)) - y, m) = 1 for every prime l | e.
     e = len(m) - 1
-    y = [0, 1]
-    t = _ppowmod(y, p ** e, m, p)
-    if _ptrim([(ti - yi) % p for ti, yi in itertools.zip_longest(t, y, fillvalue=0)]):
-        return False
-    for ell in range(2, e + 1):
-        if e % ell == 0 and is_prime(ell):
-            t = _ppowmod(y, p ** (e // ell), m, p)
-            diff = _ptrim([(ti - yi) % p for ti, yi in itertools.zip_longest(t, y, fillvalue=0)])
-            g = _pgcd(m[:], diff, p)
-            if len(g) - 1 > 0:
-                return False
-    return True
+
+    def frobenius_minus_y(k: int) -> list[int]:
+        t = _ppowmod([0, 1], p ** k, m, p)
+        return _ptrim([(ti - yi) % p for ti, yi in itertools.zip_longest(t, [0, 1], fillvalue=0)])
+
+    return not frobenius_minus_y(e) and all(
+        len(_pgcd(m[:], frobenius_minus_y(e // ell), p)) == 1
+        for ell in range(2, e + 1)
+        if e % ell == 0 and is_prime(ell)
+    )
 
 
 def _find_modulus(p: int, e: int) -> tuple[int, ...]:
     """Smallest irreducible monic modulus of degree e, in base-p order."""
     if e == 1:
         return (0, 1)
-    for n in range(p ** e):
-        coeffs = []
-        m = n
-        for _ in range(e):
-            coeffs.append(m % p)
-            m //= p
-        cand = coeffs + [1]
+    for high_first in itertools.product(range(p), repeat=e):  # c_0 varies fastest
+        cand = [*high_first[::-1], 1]
         if _is_irreducible(cand, p):
             return tuple(cand)
     raise AssertionError("no irreducible polynomial found")  # unreachable
@@ -255,8 +269,7 @@ class GFElement:
         return F._from_list(_pmod(prod, list(F.modulus), F.p))
 
     def __truediv__(self, other):
-        other = self.field.coerce(other)
-        return self * other.inverse()
+        return self * self.field.coerce(other).inverse()
 
     def __pow__(self, n: int):
         F = self.field
@@ -288,10 +301,8 @@ class GFElement:
 
     def trace(self) -> int:
         """Absolute trace into F_p, returned as an int in {0, ..., p-1}."""
-        F = self.field
-        acc = self
-        t = self
-        for _ in range(F.e - 1):
+        acc = t = self
+        for _ in range(self.field.e - 1):
             t = t.frobenius()
             acc = acc + t
         if any(acc.coeffs[1:]):
@@ -301,7 +312,7 @@ class GFElement:
     # -- predicates / conversions --
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs)
 
     def encode(self) -> int:
         """Base-p integer encoding c_0 + c_1*p + ..., reproducible."""
@@ -349,9 +360,9 @@ class GaloisField:
 
     def __init__(self, p: int, e: int):
         if not is_prime(p):
-            raise ValueError(f"characteristic {p} is not prime")
+            raise PreconditionError(f"characteristic {p} is not prime")
         if e < 1:
-            raise ValueError("extension degree must be >= 1")
+            raise PreconditionError("extension degree must be >= 1")
         self.p = p
         self.e = e
         self.order = p ** e
@@ -368,13 +379,11 @@ class GaloisField:
                 raise ValueError("element of a different field")
             return value
         if isinstance(value, int):
-            coeffs = [value % self.p] + [0] * (self.e - 1)
-            return GFElement(self, tuple(coeffs))
+            return GFElement(self, (value % self.p,) + (0,) * (self.e - 1))
         coeffs = [int(c) % self.p for c in value]
         if len(coeffs) > self.e:
-            return self._from_list(_pmod(coeffs, list(self.modulus), self.p))
-        coeffs += [0] * (self.e - len(coeffs))
-        return GFElement(self, tuple(coeffs))
+            coeffs = _pmod(coeffs, list(self.modulus), self.p)
+        return self._from_list(coeffs)
 
     coerce = element
 
@@ -392,8 +401,7 @@ class GaloisField:
 
     def elements(self) -> Iterator[GFElement]:
         """All q elements in the deterministic encoding order."""
-        for n in range(self.order):
-            yield self.from_encoding(n)
+        return map(self.from_encoding, range(self.order))
 
     def parse(self, text: str) -> GFElement:
         """Parse '3' or a polynomial string 'a0+a1*y+a2*y^2' (minus allowed)."""
@@ -413,7 +421,7 @@ class GaloisField:
             c = 1 if head in ("", "*") else int(head.rstrip("*"))
             k = 1 if not tail else int(tail.lstrip("^"))
             if k >= self.e:
-                raise ValueError(f"exponent y^{k} exceeds field degree {self.e - 1}")
+                raise PreconditionError(f"exponent y^{k} exceeds field degree {self.e - 1}")
             coeffs[k] = (coeffs[k] + sign * c) % self.p
         return GFElement(self, tuple(coeffs))
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .gf import is_prime
+from .gf import PreconditionError, binary_power, is_prime
 
 
 class MultiPoly:
@@ -103,16 +103,7 @@ class MultiPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        result = MultiPoly.constant(self.p, self.vars, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return binary_power(self, n, MultiPoly.constant(self.p, self.vars, 1))
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -133,19 +124,30 @@ class MultiPoly:
 
     def substitute(self, images: dict[str, "MultiPoly"]) -> "MultiPoly":
         """Ring homomorphism sending each variable to its image (variables
-        missing from the map must not occur)."""
+        missing from the map must not occur).
+
+        Monomials are visited sorted by their exponent vector read from the
+        last variable, and each variable keeps one running power: a rising
+        exponent steps it up by the gap, a falling one rebuilds it."""
         if not images:
             raise ValueError("substitution requires at least one image")
         target = next(iter(images.values()))
         result = MultiPoly(target.p, target.vars)
-        for mono, c in self.terms.items():
-            term = MultiPoly.constant(target.p, target.vars, c)
+        powers: dict[str, tuple[int, MultiPoly]] = {}
+        for mono in sorted(self.terms, key=lambda m: m[::-1]):
+            term = MultiPoly.constant(target.p, target.vars, self.terms[mono])
             for name, e in zip(self.vars, mono):
                 if e == 0:
                     continue
                 if name not in images:
                     raise ValueError(f"no image provided for occurring variable {name}")
-                term = term * images[name] ** e
+                have, power = powers.get(name, (0, None))
+                if have and e > have:
+                    power = power * images[name] ** (e - have)
+                elif e != have:
+                    power = images[name] ** e
+                powers[name] = (e, power)
+                term = term * power
             result = result + term
         return result
 
@@ -285,7 +287,7 @@ def verify_dim3_relation(p: int) -> dict:
     """Substitute the invariant generators x, N_y, N_z and the quadratic
     invariant into the hypersurface equation; test that it vanishes."""
     if p < 3 or not is_prime(p):
-        raise ValueError("an odd prime is required")
+        raise PreconditionError("an odd prime is required")
     act, x, y, z = dim3_action(p)
     n_y = act.norm(y)
     n_z = act.norm(z)
@@ -332,9 +334,9 @@ def reflection_jacobian_check(p: int, d: int) -> dict:
     check that x^p - x y^(p-1) is invariant and that the Jacobian
     determinant of the invariant generators equals +-y^(p-1)."""
     if not is_prime(p):
-        raise ValueError(f"characteristic {p} is not prime")
+        raise PreconditionError(f"characteristic {p} is not prime")
     if d < 2:
-        raise ValueError("dimension must be at least 2")
+        raise PreconditionError("dimension must be at least 2")
     names = ("x", "y") + tuple(f"z{i + 1}" for i in range(d - 2))
     gens = MultiPoly.gens(p, names)
     x, y = gens[0], gens[1]

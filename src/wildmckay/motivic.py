@@ -24,7 +24,7 @@ import math
 from fractions import Fraction
 from typing import Union
 
-from .gf import InternalMismatch, require_prime_power
+from .gf import InternalMismatch, binary_power, require_prime_power
 
 Rat = Union[int, Fraction]
 
@@ -212,14 +212,7 @@ class MotivicValue:
             raise TypeError("exponent must be an integer; use l_power for L^e")
         if n < 0:
             return MotivicValue.one() / self ** (-n)
-        result = MotivicValue.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return binary_power(self, n, MotivicValue.one())
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -396,8 +389,8 @@ def _canonicalize(num: dict[int, int], den: dict[int, int], scale: int):
     mn, md = min(num), min(den)
     a = {k - mn: c for k, c in num.items()}
     b = {k - md: c for k, c in den.items()}
-    g = _gcd(a, b)
-    if max(g):
+    # a single term (a constant after the shift) leaves the primitive gcd 1
+    if len(a) > 1 and len(b) > 1 and max(g := _gcd(a, b)):
         # g is primitive, so by Gauss's lemma both quotients are integral
         a = _divide(a, g, exact=True)[0]
         b = _divide(b, g, exact=True)[0]

@@ -26,23 +26,24 @@ battery (acceptance.py).
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .covers import InvalidJump, count_extensions
-from .gf import is_prime, prime_power_decomposition
+from .gf import PreconditionError, is_prime, prime_power_decomposition
 from .motivic import L, MotivicValue, Rat, geometric_sum
 
 
-class NotStringilyKLT(ArithmeticError):
+class NotStringilyKLT(ArithmeticError, PreconditionError):
     """The defining integral diverges: D_V < p."""
 
 
-class NotKLT(ArithmeticError):
+class NotKLT(ArithmeticError, PreconditionError):
     """A pair coefficient violates the log-terminal bound."""
 
 
-class BaseFieldMismatch(ValueError):
+class BaseFieldMismatch(PreconditionError):
     """q is not a power of the representation's characteristic."""
 
 
@@ -55,14 +56,14 @@ class RepType:
 
     def __init__(self, p: int, dims):
         if not is_prime(p):
-            raise ValueError(f"characteristic {p} is not prime")
+            raise PreconditionError(f"characteristic {p} is not prime")
         dims = tuple(int(d) for d in dims)
         if not dims:
-            raise ValueError("at least one summand is required")
+            raise PreconditionError("at least one summand is required")
         if any(d < 1 or d > p for d in dims):
-            raise ValueError(f"summand dimensions must lie in [1, {p}]")
+            raise PreconditionError(f"summand dimensions must lie in [1, {p}]")
         if all(d == 1 for d in dims):
-            raise ValueError("trivial representation (all summands 1-dimensional)")
+            raise PreconditionError("trivial representation (all summands 1-dimensional)")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "dims", dims)
 
@@ -175,9 +176,7 @@ def _twisted_sum(rep: RepType, head: MotivicValue, coeff: MotivicValue) -> Motiv
     whole value is put over 1 - L^(p-1-D) and divided once, so it is
     reduced to lowest terms once."""
     _require_stringily_klt(rep)
-    s_sum = MotivicValue.zero()
-    for s in range(1, rep.p):
-        s_sum = s_sum + MotivicValue.l_power(s - shift_number(rep, s))
+    s_sum = MotivicValue.from_terms(Counter(s - shift_number(rep, s) for s in range(1, rep.p)))
     den = MotivicValue.one() - MotivicValue.l_power(rep.p - 1 - shift_slope(rep))
     return (head * den + coeff * s_sum) / den
 
@@ -270,7 +269,7 @@ def stack_pair_invariant(p: int, a: Rat) -> MotivicValue:
     against a times its fixed locus, for a < 2 - p: the closed form
     (L^2 - L)/(1 - L^(a+p-2)) of its sector decomposition."""
     if not is_prime(p):
-        raise ValueError(f"characteristic {p} is not prime")
+        raise PreconditionError(f"characteristic {p} is not prime")
     a = Fraction(a)
     if a >= 2 - p:
         raise NotKLT(f"coefficient a = {a} >= 2 - p = {2 - p}")

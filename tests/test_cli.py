@@ -148,6 +148,48 @@ class TestSuiteCommand:
         assert [c["ok"] for c in a["criteria"]] == [c["ok"] for c in b["criteria"]]
 
 
+class TestExitCodes:
+    """0 success, 1 internal error, 2 PreconditionError only, 3 failed check."""
+
+    def test_ok(self, capsys):
+        assert run(capsys, "stringy", "pair", "--p", "2", "--a=-1")[0] == 0
+
+    def test_internal_value_error_is_not_a_precondition(self, capsys, monkeypatch):
+        from wildmckay import stringy
+        from wildmckay.motivic import LefschetzPoly
+
+        monkeypatch.setattr(stringy, "projectivized_invariant", lambda rep: LefschetzPoly({0: 1}, 0))
+        code = main(["stringy", "invariant", "--p", "3", "--dims", "3"])
+        assert code == 1
+        assert "internal error: ValueError" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ("suite", "--only", "no-such-criterion"),
+        ("covers", "census", "--p", "2", "--q", "2", "--max-exp", "-1"),
+        ("covers", "reduce", "--p", "2", "--q", "4", "--series=-1:z"),
+        ("verify", "v3", "--p", "2"),
+    ])
+    def test_precondition(self, capsys, argv):
+        assert run(capsys, *argv)[0] == 2
+
+    def test_verification_failure(self, capsys, monkeypatch):
+        from wildmckay import invariant_rings
+
+        monkeypatch.setattr(invariant_rings, "catalan_mod", lambda i, p: 1)
+        code, data = run_json(capsys, "verify", "v3", "--p", "7")
+        assert code == 3 and data["ok"] is False
+
+    def test_precondition_classes(self):
+        from wildmckay.covers import EnumerationTooLarge, InvalidJump
+        from wildmckay.gf import PreconditionError, PrimalityUnproven
+        from wildmckay.stringy import BaseFieldMismatch, NotKLT, NotStringilyKLT
+
+        for exc in (PrimalityUnproven, InvalidJump, EnumerationTooLarge, BaseFieldMismatch):
+            assert issubclass(exc, PreconditionError)
+        for exc in (NotStringilyKLT, NotKLT):
+            assert issubclass(exc, PreconditionError) and issubclass(exc, ArithmeticError)
+
+
 class TestOutputContracts:
     def test_byte_determinism(self, capsys):
         args = ("stringy", "invariant", "--p", "2", "--dims", "2,2")
@@ -207,6 +249,23 @@ class TestGoldenOutputs:
         ((5, 25, "-125:y,-50:2+3*y,-2:1,0:3+y"),
          "4b879052b381df545e3aaae7bb1f1d4f81244b9e0faf697914d67c0d431a0d87"),
     ]
+
+    # frozen before gf.binary_power and the power reuse in MultiPoly.substitute
+    VERIFY = [
+        (("v3", "--p", "17"), "471835fcf5051adf685c14147964678bcae69ff180ed0575e86de2b04a664ae8"),
+        (("v3", "--p", "19"), "a6c273eed7adc5d5aa0d07227cefa46c892261143c4b10d1a6841dfe43a76682"),
+        (("v3", "--p", "23"), "adad21d59e82ecf1dfa8531564bc0251128f607999dcf971ae32997204090bf5"),
+        (("v3", "--p", "29"), "b9513f6468a2495816348aab7bb6dc9d5ce9dd04c78532188cf6ff5109a2892f"),
+        (("v3", "--p", "31"), "c9a6bec83a08cf8cc406611e8ecee5804914a18301e6c569dbcfee35985b7a68"),
+        (("reflection", "--p", "11", "--d", "4"),
+         "ba7fb7a693b478f82c97d2369033c67363fb82593da9fe1b40b577237d82e2f1"),
+    ]
+
+    @pytest.mark.parametrize("args,digest", VERIFY)
+    def test_verify(self, capsys, args, digest):
+        code, out = run(capsys, "verify", *args)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("case,digest", CENSUS)
     def test_census_list_forms(self, capsys, case, digest):

@@ -148,3 +148,13 @@ def test_encoding_round_trip():
     F = GF(5, 2)
     for x in F.elements():
         assert F.from_encoding(x.encode()) == x
+
+
+@pytest.mark.parametrize("p,e", [(2, 3), (3, 2), (5, 2)])
+def test_power_equals_repeated_product(p, e):
+    F = GF(p, e)
+    for x in F.elements():
+        acc = F.one
+        for n in range(64):
+            assert x ** n == acc
+            acc = acc * x

@@ -46,6 +46,30 @@ class TestMultiPoly:
             assert (f + g).substitute(images) == f.substitute(images) + g.substitute(images)
             assert (f * g).substitute(images) == f.substitute(images) * g.substitute(images)
 
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_substitute_equals_naive_powering(self, p):
+        rng = random.Random(p)
+        names, targets = ("x", "y", "z"), ("u", "v")
+        rises = falls = 0
+        for _ in range(12):
+            f = random_poly(rng, p, names, max_deg=6, max_terms=10)
+            images = {n: random_poly(rng, p, targets, max_deg=2, max_terms=3) for n in names}
+            want = MultiPoly(p, targets)
+            for mono, c in f.terms.items():
+                term = MultiPoly.constant(p, targets, c)
+                for name, e in zip(names, mono):
+                    for _ in range(e):
+                        term = term * images[name]
+                want = want + term
+            assert f.substitute(images) == want
+            # the visit order (exponents read from the last variable) makes
+            # the leading variables' exponents both rise and fall
+            order = sorted(f.terms, key=lambda m: m[::-1])
+            steps = [(a[0], b[0]) for a, b in zip(order, order[1:]) if a[0] and b[0]]
+            rises += any(a < b for a, b in steps)
+            falls += any(a > b for a, b in steps)
+        assert rises and falls
+
     def test_derivative_is_a_derivation(self):
         rng = random.Random(11)
         names = ("x", "y", "z")
@@ -120,6 +144,19 @@ class TestDim3Relation:
     @pytest.mark.parametrize("p", [3, 5, 7, 11])
     def test_vanishes(self, p):
         assert verify_dim3_relation(p)["ok"]
+
+    def test_p31_monomial_products(self, monkeypatch):
+        # 182 722 while substitute powered each image anew for every term
+        products = []
+        mul = MultiPoly.__mul__
+
+        def counting(a, b):
+            products.append(len(a.terms) * len(b.terms))
+            return mul(a, b)
+
+        monkeypatch.setattr(MultiPoly, "__mul__", counting)
+        assert verify_dim3_relation(31)["ok"]
+        assert sum(products) <= 45_000
 
     def test_p3_specialization(self):
         X, Y, Z, W = MultiPoly.gens(3, ("X", "Y", "Z", "W"))
