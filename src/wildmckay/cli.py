@@ -22,7 +22,6 @@ from importlib import resources
 from . import acceptance, covers, stringy
 from .gf import GF, PreconditionError, prime_power_decomposition
 from .laurent import LaurentSeries
-from .motivic import MotivicValue
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -65,7 +64,7 @@ def _parse_series(field, text: str) -> LaurentSeries:
             except ValueError as exc:
                 raise PreconditionError(f"malformed series term {chunk!r}: {exc}") from None
             coeffs[e] = coeffs.get(e, field.zero) + c
-    return LaurentSeries(field, {e: c for e, c in coeffs.items() if not c.is_zero()})
+    return LaurentSeries(field, coeffs)
 
 
 def _field_for(p: int, q: int):
@@ -329,6 +328,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # reports print exact integers of any size
     try:
         return args.handler(args)
     except PreconditionError as exc:
@@ -337,6 +338,8 @@ def main(argv=None) -> int:
     except Exception as exc:  # noqa: BLE001 - the CLI boundary reports and exits
         sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
         return EXIT_INTERNAL
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def entry() -> None:

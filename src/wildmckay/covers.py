@@ -21,7 +21,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field, fields
 
-from .gf import GF, GaloisField, GFElement, InternalMismatch, PreconditionError, binary_power, require_prime_power
+from .gf import GF, GaloisField, InternalMismatch, PreconditionError, binary_power, require_prime_power
 from .laurent import INF, InsufficientPrecision, LaurentSeries
 
 
@@ -37,28 +37,17 @@ class EnumerationTooLarge(PreconditionError):
     """The requested census exceeds the enumeration guard."""
 
 
-def const_class(c: GFElement) -> int:
-    """Class of c in F_q modulo the Artin-Schreier image, as an element of F_p.
-
-    By additive Hilbert 90 the image of x -> x^p - x on F_q is exactly the
-    kernel of the absolute trace, so the trace realizes the isomorphism
-    F_q / w(F_q) = F_p.
-    """
-    return c.trace()
-
-
 class RepPoly:
-    """Representative polynomial sum_i f_{-i} t^{-i}: i > 0, gcd(i, p) = 1."""
+    """Representative polynomial sum_i f_{-i} t^{-i}: i > 0, gcd(i, p) = 1; coeffs are {i: code}."""
 
     __slots__ = ("field", "coeffs")
 
     def __init__(self, field: GaloisField, coeffs=None):
         self.field = field
-        clean: dict[int, GFElement] = {}
+        clean: dict[int, int] = {}
         for i, c in (coeffs or {}).items():
-            i = int(i)
-            c = field.coerce(c)
-            if c.is_zero():
+            i, c = int(i), field.code(c)
+            if not c:
                 continue
             if i <= 0 or i % field.p == 0:
                 raise ValueError(f"exponent index {i} must be positive and coprime to {field.p}")
@@ -74,11 +63,11 @@ class RepPoly:
         return not self.coeffs
 
     def as_series(self, prec=INF) -> LaurentSeries:
-        return LaurentSeries(self.field, {-i: c for i, c in self.coeffs.items()}, prec)
+        return LaurentSeries._from_codes(self.field, {-i: c for i, c in self.coeffs.items()}).truncate(prec)
 
     def key(self) -> tuple:
         """Deterministic sort/hash key."""
-        return tuple(sorted((i, c.encode()) for i, c in self.coeffs.items()))
+        return tuple(sorted(self.coeffs.items()))
 
     def __eq__(self, other):
         return (
@@ -100,7 +89,7 @@ class RepPoly:
         prime = self.field.e == 1
         return {
             "terms": [
-                [i, c.encode() if prime else str(c)]
+                [i, c if prime else str(self.field.from_encoding(c))]
                 for i, c in sorted(self.coeffs.items())
             ]
         }
@@ -130,15 +119,15 @@ class ASCoverClass:
 
     def lift(self, prec=INF) -> LaurentSeries:
         """A Laurent series in the class: rep plus the first constant, in
-        encoding order, whose trace (the map F.codes[-1]) is const_class.
+        encoding order, whose trace (the map F.codes[4]) is const_class.
         The trace is F_p-linear: for the least i with tr(y^i) != 0, all
         codes below p^i have trace 0, so that constant is t/tr(y^i) * y^i."""
-        F, t, tr = self.field, self.const_class, self.field.codes[-1]
-        c = 0
+        F, t, tr = self.field, self.const_class, self.field.codes[4]
+        coeffs = {-i: c for i, c in self.rep.coeffs.items()}
         if t:
             i = next(i for i in range(F.e) if tr(F.p ** i))
-            c = t * pow(tr(F.p ** i), -1, F.p) % F.p * F.p ** i
-        return self.rep.as_series(prec) + LaurentSeries(F, {0: F.from_encoding(c)}, prec)
+            coeffs[0] = t * pow(tr(F.p ** i), -1, F.p) % F.p * F.p ** i
+        return LaurentSeries._from_codes(F, coeffs).truncate(prec)
 
     def key(self) -> tuple:
         return (self.rep.key(), self.const_class)
@@ -184,7 +173,7 @@ def _reduce_codes(F, f):
     e, e/p, e/p^2, ... from its most negative end visits every exponent
     after all of its input.
     """
-    p, (add, _, _, root, trace) = F.p, F.codes
+    p, (add, _, _, root, trace, _) = F.p, F.codes
     rep = dict(f)
     const = trace(rep.pop(0, 0))
     witnesses = []
@@ -204,7 +193,7 @@ def _witnesses_hold(F, f, rep, const, witnesses):
     """Check that f - sum w(c t^e) over the witnesses (e, c), all e <= 0,
     has polar part rep and a constant term of trace const.  Frobenius, not
     the p-th root, undoes each witness, so a wrong root map fails here."""
-    p, (add, neg, frob, _, trace) = F.p, F.codes
+    p, (add, neg, frob, _, trace, _) = F.p, F.codes
     g = dict(f)
     for e, c in witnesses:
         g[p * e] = add(g.get(p * e, 0), neg(frob(c)))
@@ -212,8 +201,10 @@ def _witnesses_hold(F, f, rep, const, witnesses):
     return trace(g.pop(0, 0)) == const and {e: c for e, c in g.items() if c} == rep
 
 
-def _cover_class(F, rep, const, decode):
-    return ASCoverClass(RepPoly(F, {-e: decode(c) for e, c in rep.items()}), const)
+def _cover_class(F, rep, const):
+    poly = RepPoly(F)
+    poly.coeffs = {-e: c for e, c in rep.items()}
+    return ASCoverClass(poly, const)
 
 
 def reduce_with_witnesses(f: LaurentSeries) -> tuple[ASCoverClass, list[LaurentSeries]]:
@@ -227,8 +218,7 @@ def reduce_with_witnesses(f: LaurentSeries) -> tuple[ASCoverClass, list[LaurentS
     """
     F = f.field
     rep, const, witnesses = _reduce_codes(F, f.polar_codes())
-    monomials = [LaurentSeries.monomial(F, e, F.from_encoding(c)) for e, c in witnesses]
-    return _cover_class(F, rep, const, F.from_encoding), monomials
+    return _cover_class(F, rep, const), [LaurentSeries._from_codes(F, {e: c}) for e, c in witnesses]
 
 
 def reduce(f: LaurentSeries) -> ASCoverClass:
@@ -241,7 +231,7 @@ def witnesses_account_for(f: LaurentSeries, cls: ASCoverClass, witnesses) -> boo
     trace cls.const_class.  (The positive tail is absorbed implicitly and is
     not certified here.)"""
     pairs = [pair for w in witnesses for pair in w.polar_codes().items()]
-    rep = cls.rep.as_series().polar_codes()
+    rep = {-i: c for i, c in cls.rep.coeffs.items()}
     return _witnesses_hold(f.field, f.polar_codes(), rep, cls.const_class, pairs)
 
 
@@ -301,7 +291,7 @@ class CoverRing:
         if not 0 <= i < self.p:
             raise ValueError("basis exponent out of range")
         comps = list(self.zero().comps)
-        comps[i] = LaurentSeries(self.field, {n: self.field.coerce(coeff)}, self.prec)
+        comps[i] = LaurentSeries(self.field, {n: coeff}, self.prec)
         return CoverElement(self, tuple(comps))
 
     def gen(self) -> "CoverElement":
@@ -501,7 +491,6 @@ def enumerate_covers(q: int, max_exp: int, guard: int = 10 ** 7) -> CensusReport
     if q ** max_exp > guard:
         raise EnumerationTooLarge(f"{q}^{max_exp} exceeds the enumeration guard {guard}")
     F = GF(p, e)
-    element = list(F.elements()).__getitem__  # classes share one object per element
     exponents = range(-1, -max_exp - 1, -1)
     fibers = {}
     class_by_key = {}
@@ -513,7 +502,7 @@ def enumerate_covers(q: int, max_exp: int, guard: int = 10 ** 7) -> CensusReport
         k = (tuple(sorted((-e, c) for e, c in rep.items())), const)  # == ASCoverClass.key()
         n = fibers.get(k)
         if n is None:
-            class_by_key[k] = _cover_class(F, rep, const, element)
+            class_by_key[k] = _cover_class(F, rep, const)
             n = 0
         fibers[k] = n + 1
     classes = [class_by_key[k] for k in sorted(class_by_key)]

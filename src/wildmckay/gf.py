@@ -211,30 +211,34 @@ class _Memo(dict):
 
 
 def _code_maps(F):
-    """GaloisField.codes: the maps (add, neg, frobenius, pth_root, trace) on
-    codes, the base-p encodings of GFElement.encode, for int-coded cores;
+    """GaloisField.codes: the maps (add, neg, frobenius, pth_root, trace, mul)
+    on codes, the base-p encodings of GFElement.encode, for int-coded cores;
     trace returns an int in {0, ..., p-1}.  Prime fields use integer
     arithmetic mod p, where Frobenius, root and trace are the identity
-    (int); p = 2 adds by XOR.  Every other map is memoized from the
-    GFElement operation on first use, so no size-q table is built up front.
-    Root and Frobenius are computed each on its own, never one as the
-    inverse of the other, so the witness check can catch a wrong root."""
+    (int); p = 2 adds by XOR and multiplies by AND.  Every other map is
+    memoized from the GFElement operation on first use, so no size-q table
+    is built up front.  Root and Frobenius are computed each on its own,
+    never one as the inverse of the other, so the witness check can catch a
+    wrong root."""
     p = F.p
     if F.e == 1:
         if p == 2:
-            return operator.xor, int, int, int, int
-        return (lambda a, b: (a + b) % p), (lambda a: -a % p), int, int, int
+            return operator.xor, int, int, int, int, operator.and_
+        return (lambda a, b: (a + b) % p), (lambda a: -a % p), int, int, int, (lambda a, b: a * b % p)
 
     def memo(op):
         return _Memo(lambda n: op(F.from_encoding(n))).__getitem__
 
+    def memo2(op):
+        pairs = _Memo(lambda ab: op(F.from_encoding(ab[0]), F.from_encoding(ab[1])).encode())
+        return lambda a, b: pairs[a, b]
+
     if p == 2:
         add, neg = operator.xor, int
     else:
-        sums = _Memo(lambda ab: (F.from_encoding(ab[0]) + F.from_encoding(ab[1])).encode())
-        add, neg = (lambda a, b: sums[a, b]), memo(lambda x: (-x).encode())
-    frobenius = memo(lambda x: x.frobenius().encode())
-    return add, neg, frobenius, memo(lambda x: x.pth_root().encode()), memo(GFElement.trace)
+        add, neg = memo2(GFElement.__add__), memo(lambda x: (-x).encode())
+    frobenius, root = memo(lambda x: x.frobenius().encode()), memo(lambda x: x.pth_root().encode())
+    return add, neg, frobenius, root, memo(GFElement.trace), memo2(GFElement.__mul__)
 
 
 class GFElement:
@@ -386,6 +390,10 @@ class GaloisField:
         return self._from_list(coeffs)
 
     coerce = element
+
+    def code(self, value) -> int:
+        """element(value).encode(); an int k is the code k mod p, built directly."""
+        return value % self.p if isinstance(value, int) else self.element(value).encode()
 
     def _from_list(self, coeffs: list[int]) -> GFElement:
         coeffs = coeffs + [0] * (self.e - len(coeffs))

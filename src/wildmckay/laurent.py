@@ -1,9 +1,13 @@
 """Truncated Laurent series over a finite field, with precision tracking.
 
-A series is a sparse map {exponent: nonzero coefficient} together with a
+A series is a sparse map {exponent: nonzero code} together with a
 precision bound ``prec``: coefficients are exact for every exponent <= prec
 and unknown above.  Laurent polynomials are the prec = +infinity case.
 Only finitely many negative exponents may carry coefficients.
+
+A code is the base-p integer of GFElement.encode; arithmetic runs on codes
+through GaloisField.codes, and GFElement appears only at the edges: the
+public constructor, ``coefficient`` and ``str``.
 
 Precision propagates pessimistically: sums take the min of the bounds, and
 a product is trusted up to min(prec_a + ord(b), prec_b + ord(a)), the usual
@@ -32,10 +36,10 @@ class LaurentSeries:
     def __init__(self, field: GaloisField, coeffs=None, prec=INF):
         self.field = field
         self.prec = prec
-        clean: dict[int, GFElement] = {}
+        clean: dict[int, int] = {}
         for e, c in (coeffs or {}).items():
-            c = field.coerce(c)
-            if c.is_zero():
+            c = field.code(c)
+            if not c:
                 continue
             if e > prec:
                 raise ValueError(f"coefficient at exponent {e} above precision {prec}")
@@ -45,12 +49,15 @@ class LaurentSeries:
     # -- constructors --
 
     @classmethod
-    def zero(cls, field, prec=INF):
-        return cls(field, {}, prec)
+    def _from_codes(cls, field: GaloisField, coeffs: dict[int, int], prec=INF) -> "LaurentSeries":
+        """A series from {exponent <= prec: nonzero code}, taken as is."""
+        series = object.__new__(cls)
+        series.field, series.coeffs, series.prec = field, coeffs, prec
+        return series
 
     @classmethod
-    def monomial(cls, field, exponent: int, coeff=1, prec=INF):
-        return cls(field, {exponent: coeff}, prec)
+    def zero(cls, field, prec=INF):
+        return cls._from_codes(field, {}, prec)
 
     # -- inspection --
 
@@ -62,7 +69,7 @@ class LaurentSeries:
     def coefficient(self, e: int) -> GFElement:
         if e > self.prec:
             raise InsufficientPrecision(f"coefficient at t^{e} is beyond precision {self.prec}")
-        return self.coeffs.get(e, self.field.zero)
+        return self.field.from_encoding(self.coeffs.get(e, 0))
 
     def is_zero(self) -> bool:
         """True when no nonzero coefficient is tracked (exact zero iff prec is inf)."""
@@ -73,77 +80,68 @@ class LaurentSeries:
 
     # -- arithmetic --
 
-    def _binary_prec(self, other) -> float:
-        return min(self.prec, other.prec)
-
     def __add__(self, other):
         other = self._coerce(other)
-        prec = self._binary_prec(other)
-        out = dict(self.coeffs)
+        prec = min(self.prec, other.prec)
+        add = self.field.codes[0]
+        out = {e: c for e, c in self.coeffs.items() if e <= prec}
         for e, c in other.coeffs.items():
-            s = out.get(e, self.field.zero) + c
-            if s.is_zero():
-                out.pop(e, None)
-            else:
-                out[e] = s
-        out = {e: c for e, c in out.items() if e <= prec}
-        return LaurentSeries(self.field, out, prec)
+            if e <= prec:
+                s = add(out.pop(e), c) if e in out else c
+                if s:
+                    out[e] = s
+        return LaurentSeries._from_codes(self.field, out, prec)
 
     def __neg__(self):
-        return LaurentSeries(self.field, {e: -c for e, c in self.coeffs.items()}, self.prec)
+        neg = self.field.codes[1]
+        return LaurentSeries._from_codes(self.field, {e: neg(c) for e, c in self.coeffs.items()}, self.prec)
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
 
     def __mul__(self, other):
+        F = self.field
+        mul = F.codes[5]
         if isinstance(other, (int, GFElement)):
-            c = self.field.coerce(other)
-            if c.is_zero():
-                return LaurentSeries.zero(self.field, self.prec)
-            return LaurentSeries(
-                self.field, {e: a * c for e, a in self.coeffs.items()}, self.prec
-            )
+            k = F.code(other)
+            terms = {e: mul(a, k) for e, a in self.coeffs.items()} if k else {}
+            return LaurentSeries._from_codes(F, terms, self.prec)
         other = self._coerce(other)
-        ord_a = self.order()
-        ord_b = other.order()
         # a factor with no known term contributes only above its precision
-        eff_a = ord_a if ord_a is not None else self.prec + 1
-        eff_b = ord_b if ord_b is not None else other.prec + 1
+        eff_a = min(self.coeffs, default=self.prec + 1)
+        eff_b = min(other.coeffs, default=other.prec + 1)
         prec = min(self.prec + eff_b, other.prec + eff_a)
-        out: dict[int, GFElement] = {}
+        add = F.codes[0]
+        out: dict[int, int] = {}
         for e1, c1 in self.coeffs.items():
             for e2, c2 in other.coeffs.items():
                 e = e1 + e2
-                if e > prec:
-                    continue
-                s = out.get(e, self.field.zero) + c1 * c2
-                if s.is_zero():
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        return LaurentSeries(self.field, out, prec)
+                if e <= prec:
+                    s = add(out.pop(e), mul(c1, c2)) if e in out else mul(c1, c2)
+                    if s:
+                        out[e] = s
+        return LaurentSeries._from_codes(F, out, prec)
 
     __rmul__ = __mul__
 
     def shift(self, n: int) -> "LaurentSeries":
         """Multiply by t^n."""
         prec = self.prec if self.prec == INF else self.prec + n
-        return LaurentSeries(self.field, {e + n: c for e, c in self.coeffs.items()}, prec)
+        return LaurentSeries._from_codes(self.field, {e + n: c for e, c in self.coeffs.items()}, prec)
 
     def truncate(self, prec) -> "LaurentSeries":
         """Forget coefficients above prec (lowers precision only)."""
         if prec >= self.prec:
             return self
-        return LaurentSeries(self.field, {e: c for e, c in self.coeffs.items() if e <= prec}, prec)
+        return LaurentSeries._from_codes(self.field, {e: c for e, c in self.coeffs.items() if e <= prec}, prec)
 
     # -- pieces --
 
     def polar_codes(self) -> dict[int, int]:
-        """The terms up to t^0 as {exponent: code}, codes as in
-        GFElement.encode; the constant term must be known."""
+        """The terms up to t^0; the constant term must be known."""
         if self.prec < 0:
             raise InsufficientPrecision(f"constant term unknown: precision {self.prec} < 0")
-        return {e: c.encode() for e, c in self.coeffs.items() if e <= 0}
+        return {e: c for e, c in self.coeffs.items() if e <= 0}
 
     def constant_term(self) -> GFElement:
         return self.coefficient(0)
@@ -161,15 +159,14 @@ class LaurentSeries:
             if other.field != self.field:
                 raise ValueError("series over different fields")
             return other
-        return LaurentSeries(self.field, {0: self.field.coerce(other)})
+        return LaurentSeries(self.field, {0: other})
 
     def __str__(self):
         if not self.coeffs:
             return "0"
         parts = []
         for e in self.support():
-            c = self.coeffs[e]
-            cs = str(c)
+            cs = str(self.field.from_encoding(self.coeffs[e]))
             if "+" in cs or "-" in cs:
                 cs = f"({cs})"
             if e == 0:
@@ -196,8 +193,8 @@ def artin_schreier(x):
     if isinstance(x, GFElement):
         return x ** x.field.p - x
     if isinstance(x, LaurentSeries):
-        p = x.field.p
+        p, frobenius = x.field.p, x.field.codes[2]
         prec = x.prec if x.prec == INF else min(x.prec, p * x.prec)
-        power = {p * e: c ** p for e, c in x.coeffs.items() if p * e <= prec}
-        return LaurentSeries(x.field, power, prec) - x.truncate(prec)
+        power = {p * e: frobenius(c) for e, c in x.coeffs.items() if p * e <= prec}
+        return LaurentSeries._from_codes(x.field, power, prec) - x.truncate(prec)
     raise TypeError(f"unsupported operand {type(x).__name__}")

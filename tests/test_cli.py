@@ -9,6 +9,7 @@ import time
 import jsonschema
 import pytest
 
+from wildmckay import stringy
 from wildmckay.cli import main, schema_path
 
 SCHEMA = json.loads(open(schema_path()).read())
@@ -307,3 +308,30 @@ class TestHugeModuli:
         p = str(self.MERSENNE_89)
         assert main(["covers", "reduce", "--p", p, "--q", p, "--series=-2:1"]) == 2
         assert "Miller-Rabin" in capsys.readouterr().err
+
+
+class TestHugeIntegers:
+    """Exact answers beyond CPython's 4300-digit int/str cap reach stdout;
+    main lifts the cap for the call only."""
+
+    @staticmethod
+    def uncapped(fn):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return fn()
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    def test_count_with_150k_digits(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        code, out = run(capsys, "covers", "count", "--p", "2", "--q", "2", "--jump", "1000001")
+        assert code == 0 and sys.get_int_max_str_digits() == limit
+        assert out == self.uncapped(lambda: str(2 ** 500000)) + "\n"
+
+    def test_pointcount_with_over_4300_digits(self, capsys):
+        code, out = run(capsys, "stringy", "pointcount", "--p", "31", "--dims", "31,31", "--q", "923521")
+        assert code == 0
+        count = stringy.origin_fiber_point_count(stringy.RepType(31, (31, 31)), 923521)
+        assert len(out) > 4300
+        assert out == self.uncapped(lambda: json.dumps(str(count))) + "\n"

@@ -54,7 +54,7 @@ def test_above_the_bound_no_guess():
 @pytest.mark.parametrize("p,e", FIELDS + [(3, 3), (2, 4)])
 def test_code_maps_agree_with_elements(p, e):
     F = GF(p, e)
-    add, neg, frobenius, pth_root, trace = F.codes
+    add, neg, frobenius, pth_root, trace, mul = F.codes
     elems = list(F.elements())
     rng = random.Random(p * 31 + e)
     for x in elems:
@@ -65,13 +65,15 @@ def test_code_maps_agree_with_elements(p, e):
         assert trace(n) == x.trace()
         y = rng.choice(elems)
         assert add(n, y.encode()) == (x + y).encode()
+        assert mul(n, y.encode()) == (x * y).encode()
 
 
 def test_prime_field_maps_build_no_table():
     p = 2 ** 61 - 1
-    add, neg, frobenius, pth_root, trace = GF(p).codes
+    add, neg, frobenius, pth_root, trace, mul = GF(p).codes
     assert add(p - 1, 5) == 4 and neg(3) == p - 3
     assert frobenius(7) == pth_root(7) == trace(7) == 7
+    assert mul(p - 1, p - 1) == 1 and mul(2 ** 60, 2) == 1
     assert not any(isinstance(getattr(m, "__self__", None), dict) for m in GF(p).codes)
 
 
