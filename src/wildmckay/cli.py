@@ -8,6 +8,10 @@ only ever appear on the stderr progress stream and honor NO_COLOR.
 Exit codes: 0 success, 1 internal error, 2 precondition violation
 (gf.PreconditionError: NotStringilyKLT, NotKLT, invalid flags and
 values), 3 verification failure.
+
+A call builds only the parser of its own subcommand, the one that argv's
+first two words name; help and every parse error come from the full
+parser, built only then.
 """
 
 from __future__ import annotations
@@ -244,8 +248,35 @@ def _cmd_suite(args) -> int:
 # -- parser -------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+class _Fallback(Exception):
+    """The leaf parser would print or exit; the full parser takes over."""
+
+
+class _LeafParser(argparse.ArgumentParser):
+    """A parser that hands every output and exit to the full parser; its
+    subparsers inherit the class through `parser_class`."""
+
+    def error(self, message):
+        raise _Fallback
+
+    def exit(self, status=0, message=None):
+        raise _Fallback
+
+    def print_help(self, file=None):
+        raise _Fallback
+
+    def print_usage(self, file=None):
+        raise _Fallback
+
+
+def build_parser(path=None) -> argparse.ArgumentParser:
+    """The full parser or, given `path` (argv[:2]), a `_LeafParser` holding
+    only the command and subcommand that `path` names."""
+
+    def on_path(*names) -> bool:
+        return path is None or tuple(path[:len(names)]) == names
+
+    parser = (argparse.ArgumentParser if path is None else _LeafParser)(
         prog="wildmckay",
         description="Exact invariants of wild Z/p quotient singularities and "
         "Artin-Schreier covers of the formal disk.",
@@ -253,81 +284,100 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=("json", "tsv"), default="json")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    s = sub.add_parser("stringy", help="stringy invariants of quotient singularities")
-    ssub = s.add_subparsers(dest="subcommand", required=True)
+    if on_path("stringy"):
+        s = sub.add_parser("stringy", help="stringy invariants of quotient singularities")
+        ssub = s.add_subparsers(dest="subcommand", required=True)
 
-    inv = ssub.add_parser("invariant", help="full invariant report for a representation type")
-    inv.add_argument("--p", type=int, required=True)
-    inv.add_argument("--dims", required=True, help="comma-separated summand dimensions")
-    inv.set_defaults(handler=_cmd_stringy_invariant)
+        if on_path("stringy", "invariant"):
+            inv = ssub.add_parser("invariant", help="full invariant report for a representation type")
+            inv.add_argument("--p", type=int, required=True)
+            inv.add_argument("--dims", required=True, help="comma-separated summand dimensions")
+            inv.set_defaults(handler=_cmd_stringy_invariant)
 
-    pair = ssub.add_parser("pair", help="pair invariant for the 2-dimensional reflection case")
-    pair.add_argument("--p", type=int, required=True)
-    pair.add_argument("--a", required=True, help="boundary coefficient, e.g. -1/2")
-    pair.add_argument("--stack", action="store_true", help="stack-side invariant instead of the smooth model")
-    pair.set_defaults(handler=_cmd_stringy_pair)
+        if on_path("stringy", "pair"):
+            pair = ssub.add_parser("pair", help="pair invariant for the 2-dimensional reflection case")
+            pair.add_argument("--p", type=int, required=True)
+            pair.add_argument("--a", required=True, help="boundary coefficient, e.g. -1/2")
+            pair.add_argument("--stack", action="store_true", help="stack-side invariant instead of the smooth model")
+            pair.set_defaults(handler=_cmd_stringy_pair)
 
-    pc = ssub.add_parser("pointcount", help="weighted extension count of the origin fiber")
-    pc.add_argument("--p", type=int, required=True)
-    pc.add_argument("--dims", required=True)
-    pc.add_argument("--q", type=int, required=True)
-    pc.set_defaults(handler=_cmd_stringy_pointcount)
+        if on_path("stringy", "pointcount"):
+            pc = ssub.add_parser("pointcount", help="weighted extension count of the origin fiber")
+            pc.add_argument("--p", type=int, required=True)
+            pc.add_argument("--dims", required=True)
+            pc.add_argument("--q", type=int, required=True)
+            pc.set_defaults(handler=_cmd_stringy_pointcount)
 
-    c = sub.add_parser("covers", help="Artin-Schreier covers of the formal disk")
-    csub = c.add_subparsers(dest="subcommand", required=True)
+    if on_path("covers"):
+        c = sub.add_parser("covers", help="Artin-Schreier covers of the formal disk")
+        csub = c.add_subparsers(dest="subcommand", required=True)
 
-    red = csub.add_parser("reduce", help="normal form of a cover class")
-    red.add_argument("--p", type=int, required=True)
-    red.add_argument("--q", type=int, required=True)
-    red.add_argument("--series", required=True,
-                     help='comma-separated "exp:coeff" pairs; write --series=-2:1,... '
-                          "when the first exponent is negative")
-    red.set_defaults(handler=_cmd_covers_reduce)
+        if on_path("covers", "reduce"):
+            red = csub.add_parser("reduce", help="normal form of a cover class")
+            red.add_argument("--p", type=int, required=True)
+            red.add_argument("--q", type=int, required=True)
+            red.add_argument("--series", required=True,
+                             help='comma-separated "exp:coeff" pairs; write --series=-2:1,... '
+                                  "when the first exponent is negative")
+            red.set_defaults(handler=_cmd_covers_reduce)
 
-    cen = csub.add_parser("census", help="brute-force reduction census")
-    cen.add_argument("--p", type=int, required=True)
-    cen.add_argument("--q", type=int, required=True)
-    cen.add_argument("--max-exp", type=int, required=True, dest="max_exp")
-    cen.add_argument("--max-enum", type=int, default=10 ** 7, dest="max_enum",
-                     help="enumeration guard on q^max_exp")
-    cen.add_argument("--list-forms", action="store_true", dest="list_forms",
-                     help="include the normal forms in the report")
-    cen.set_defaults(handler=_cmd_covers_census)
+        if on_path("covers", "census"):
+            cen = csub.add_parser("census", help="brute-force reduction census")
+            cen.add_argument("--p", type=int, required=True)
+            cen.add_argument("--q", type=int, required=True)
+            cen.add_argument("--max-exp", type=int, required=True, dest="max_exp")
+            cen.add_argument("--max-enum", type=int, default=10 ** 7, dest="max_enum",
+                             help="enumeration guard on q^max_exp")
+            cen.add_argument("--list-forms", action="store_true", dest="list_forms",
+                             help="include the normal forms in the report")
+            cen.set_defaults(handler=_cmd_covers_census)
 
-    cnt = csub.add_parser("count", help="stratum counting formulas")
-    cnt.add_argument("--p", type=int, required=True)
-    cnt.add_argument("--q", type=int, required=True)
-    cnt.add_argument("--jump", type=int, required=True)
-    cnt.add_argument("--extensions", action="store_true",
-                     help="count field extensions instead of representative polynomials")
-    cnt.set_defaults(handler=_cmd_covers_count)
+        if on_path("covers", "count"):
+            cnt = csub.add_parser("count", help="stratum counting formulas")
+            cnt.add_argument("--p", type=int, required=True)
+            cnt.add_argument("--q", type=int, required=True)
+            cnt.add_argument("--jump", type=int, required=True)
+            cnt.add_argument("--extensions", action="store_true",
+                             help="count field extensions instead of representative polynomials")
+            cnt.set_defaults(handler=_cmd_covers_count)
 
-    v = sub.add_parser("verify", help="invariant-ring relation oracles")
-    vsub = v.add_subparsers(dest="relation", required=True)
+    if on_path("verify"):
+        v = sub.add_parser("verify", help="invariant-ring relation oracles")
+        vsub = v.add_subparsers(dest="relation", required=True)
 
-    v3 = vsub.add_parser("v3", help="degree-3 indecomposable hypersurface equation")
-    v3.add_argument("--p", type=int, required=True)
-    v3.set_defaults(handler=_cmd_verify)
+        if on_path("verify", "v3"):
+            v3 = vsub.add_parser("v3", help="degree-3 indecomposable hypersurface equation")
+            v3.add_argument("--p", type=int, required=True)
+            v3.set_defaults(handler=_cmd_verify)
 
-    v22 = vsub.add_parser("v2v2", help="two 2-dimensional summands at p = 2")
-    v22.set_defaults(handler=_cmd_verify)
+        if on_path("verify", "v2v2"):
+            v22 = vsub.add_parser("v2v2", help="two 2-dimensional summands at p = 2")
+            v22.set_defaults(handler=_cmd_verify)
 
-    refl = vsub.add_parser("reflection", help="reflection-case Jacobian determinant")
-    refl.add_argument("--p", type=int, required=True)
-    refl.add_argument("--d", type=int, required=True)
-    refl.set_defaults(handler=_cmd_verify)
+        if on_path("verify", "reflection"):
+            refl = vsub.add_parser("reflection", help="reflection-case Jacobian determinant")
+            refl.add_argument("--p", type=int, required=True)
+            refl.add_argument("--d", type=int, required=True)
+            refl.set_defaults(handler=_cmd_verify)
 
-    su = sub.add_parser("suite", help="run the full verification battery")
-    su.add_argument("--seed", type=int, default=0)
-    su.add_argument("--only", default=None, help="run only criteria whose name contains this")
-    su.set_defaults(handler=_cmd_suite)
+    if on_path("suite"):
+        su = sub.add_parser("suite", help="run the full verification battery")
+        su.add_argument("--seed", type=int, default=0)
+        su.add_argument("--only", default=None, help="run only criteria whose name contains this")
+        su.set_defaults(handler=_cmd_suite)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # Whatever the leaf parser would print or exit on (help, every parse
+    # error, a path it does not hold) is parsed again from scratch by the
+    # full parser, so all usage, help and error text comes from it.
+    argv = sys.argv[1:] if argv is None else list(argv)
+    try:
+        args = build_parser(argv[:2]).parse_args(argv)
+    except _Fallback:
+        args = build_parser().parse_args(argv)
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)  # reports print exact integers of any size
     try:

@@ -37,6 +37,15 @@ class EnumerationTooLarge(PreconditionError):
     """The requested census exceeds the enumeration guard."""
 
 
+# Output guard on the stratum counts, in bits: printing a 2^20-bit integer
+# already takes over a second, and forming q^k at a jump near 10^11 never ends.
+MAX_COUNT_BITS = 2 ** 20
+
+
+class CountTooLarge(PreconditionError):
+    """A stratum count's size bound exceeds MAX_COUNT_BITS."""
+
+
 class RepPoly:
     """Representative polynomial sum_i f_{-i} t^{-i}: i > 0, gcd(i, p) = 1; coeffs are {i: code}."""
 
@@ -424,7 +433,12 @@ def count_rep_covers(q: int, j: int) -> int:
         return 1
     if j < 0 or j % p == 0:
         raise InvalidJump(f"jump {j} must be 0 or positive and coprime to {p}")
-    return (q - 1) * q ** (j - 1 - j // p)
+    k = j - 1 - j // p
+    bits = (q - 1).bit_length() * (k + 1)  # (q - 1) * q^k < 2^bits, exact for q = 2
+    if bits > MAX_COUNT_BITS:
+        raise CountTooLarge(f"the count for q = {q}, jump {j} needs up to {bits} bits, "
+                            f"above the output guard of {MAX_COUNT_BITS}")
+    return (q - 1) * q ** k
 
 
 def count_extensions(q: int, j: int) -> int:

@@ -15,6 +15,7 @@ ordered variable tuple; residuals print in graded-lex order.
 from __future__ import annotations
 
 import math
+from operator import add
 from dataclasses import dataclass
 
 from .gf import PreconditionError, binary_power, is_prime
@@ -38,6 +39,14 @@ class MultiPoly:
                 raise ValueError("exponent vector length mismatch")
             clean[mono] = c
         self.terms = clean
+
+    @classmethod
+    def _of(cls, p: int, vars: tuple[str, ...], terms: dict) -> "MultiPoly":
+        """Wrap terms that are already clean: coefficients reduced mod p and
+        nonzero, exponent tuples of the right length."""
+        poly = object.__new__(cls)
+        poly.p, poly.vars, poly.terms = p, vars, terms
+        return poly
 
     # -- constructors --
 
@@ -74,7 +83,7 @@ class MultiPoly:
                 out[m] = s
             else:
                 out.pop(m, None)
-        return MultiPoly(self.p, self.vars, out)
+        return MultiPoly._of(self.p, self.vars, out)
 
     __radd__ = __add__
 
@@ -92,13 +101,13 @@ class MultiPoly:
         out: dict[tuple[int, ...], int] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                m = tuple(a + b for a, b in zip(m1, m2))
+                m = tuple(map(add, m1, m2))
                 s = (out.get(m, 0) + c1 * c2) % self.p
                 if s:
                     out[m] = s
                 else:
                     out.pop(m, None)
-        return MultiPoly(self.p, self.vars, out)
+        return MultiPoly._of(self.p, self.vars, out)
 
     __rmul__ = __mul__
 
@@ -132,7 +141,7 @@ class MultiPoly:
         if not images:
             raise ValueError("substitution requires at least one image")
         target = next(iter(images.values()))
-        result = MultiPoly(target.p, target.vars)
+        result = MultiPoly._of(target.p, target.vars, {})
         powers: dict[str, tuple[int, MultiPoly]] = {}
         for mono in sorted(self.terms, key=lambda m: m[::-1]):
             term = MultiPoly.constant(target.p, target.vars, self.terms[mono])
@@ -167,7 +176,7 @@ class MultiPoly:
                 out[m] = s
             else:
                 out.pop(m, None)
-        return MultiPoly(self.p, self.vars, out)
+        return MultiPoly._of(self.p, self.vars, out)
 
     # -- display (graded lex on the declared variable order) --
 

@@ -1,5 +1,6 @@
 """CLI surface: reports, schema conformance, determinism, exit codes."""
 
+import argparse
 import hashlib
 import json
 import subprocess
@@ -10,7 +11,7 @@ import jsonschema
 import pytest
 
 from wildmckay import stringy
-from wildmckay.cli import main, schema_path
+from wildmckay.cli import build_parser, main, schema_path
 
 SCHEMA = json.loads(open(schema_path()).read())
 
@@ -181,11 +182,11 @@ class TestExitCodes:
         assert code == 3 and data["ok"] is False
 
     def test_precondition_classes(self):
-        from wildmckay.covers import EnumerationTooLarge, InvalidJump
+        from wildmckay.covers import CountTooLarge, EnumerationTooLarge, InvalidJump
         from wildmckay.gf import PreconditionError, PrimalityUnproven
         from wildmckay.stringy import BaseFieldMismatch, NotKLT, NotStringilyKLT
 
-        for exc in (PrimalityUnproven, InvalidJump, EnumerationTooLarge, BaseFieldMismatch):
+        for exc in (PrimalityUnproven, InvalidJump, EnumerationTooLarge, CountTooLarge, BaseFieldMismatch):
             assert issubclass(exc, PreconditionError)
         for exc in (NotStringilyKLT, NotKLT):
             assert issubclass(exc, PreconditionError) and issubclass(exc, ArithmeticError)
@@ -335,3 +336,67 @@ class TestHugeIntegers:
         count = stringy.origin_fiber_point_count(stringy.RepType(31, (31, 31)), 923521)
         assert len(out) > 4300
         assert out == self.uncapped(lambda: json.dumps(str(count))) + "\n"
+
+    @pytest.mark.parametrize("extensions", [(), ("--extensions",)])
+    def test_count_beyond_the_output_guard_exits_2_quickly(self, capsys, extensions):
+        start = time.perf_counter()
+        code = main(["covers", "count", "--p", "2", "--q", "2", "--jump", "100000000001", *extensions])
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert "above the output guard of 1048576" in capsys.readouterr().err
+
+
+class TestParserPaths:
+    """main builds only the parsers on argv's path; every argparse output
+    and exit still comes from the full parser."""
+
+    ARGPARSE_EXITS = [
+        (), ("-h",), ("--help",), ("--he",),
+        ("stringy",), ("stringy", "-h"), ("stringy", "invariant", "-h"),
+        ("stringy", "invariant"), ("stringy", "bogus"), ("bogus",),
+        ("stringy", "invariant", "--p", "x", "--dims", "3"),
+        ("covers", "census", "--p", "3", "--q", "3", "--max-exp", "3", "--max"),
+        ("covers", "reduce", "--p", "2", "--q", "4", "--series", "-2:1"),
+        ("suite", "--seed"), ("verify", "v2v2", "extra"),
+        ("--format", "xml", "suite"),
+    ]
+
+    LEAVES = [
+        ("stringy", "invariant", "--p", "3", "--dims", "3"),
+        ("stringy", "pointcount", "--p", "3", "--dims", "3", "--q", "9"),
+        ("covers", "reduce", "--p", "2", "--q", "4", "--series=-3:1"),
+        ("covers", "census", "--p", "2", "--q", "2", "--max-exp", "3"),
+        ("suite", "--only", "duality"),
+        ("verify", "v3", "--p", "5"),
+    ]
+
+    @pytest.mark.parametrize("argv", ARGPARSE_EXITS, ids=lambda argv: " ".join(argv) or "(none)")
+    def test_same_output_and_exit_as_the_full_parser(self, capsys, argv):
+        with pytest.raises(SystemExit) as via_main:
+            main(list(argv))
+        printed = capsys.readouterr()
+        with pytest.raises(SystemExit) as via_full:
+            build_parser().parse_args(list(argv))
+        assert printed.out or printed.err
+        assert (via_main.value.code, printed) == (via_full.value.code, capsys.readouterr())
+
+    def test_leading_global_flag_still_runs(self, capsys):
+        code, out = run(capsys, "--format", "tsv", "suite", "--only", "duality")
+        assert code == 0
+        assert out == (
+            'seed\t0\ncriteria[0].name\t"poincare-duality"\ncriteria[0].ok\ttrue\n'
+            'criteria[0].checks\t55\ncriteria[0].details\t"all identities hold"\nall_ok\ttrue\n'
+        )
+
+    @pytest.mark.parametrize("argv", LEAVES, ids=" ".join)
+    def test_valid_call_builds_only_its_leaf(self, capsys, monkeypatch, argv):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(parser, *args, **kwargs):
+            built.append(parser)
+            init(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        assert main(list(argv)) == 0
+        assert len(built) <= 3

@@ -35,6 +35,19 @@ class TestMultiPoly:
         assert (x + x + x).is_zero()
         assert (x + y) ** 3 == x ** 3 + y ** 3
 
+    def test_constructor_cleans_and_ring_results_stay_clean(self):
+        assert MultiPoly(3, ("x",), {(1,): 3, (2,): -2}).terms == {(2,): 1}
+        with pytest.raises(ValueError, match="length mismatch"):
+            MultiPoly(3, ("x", "y"), {(1,): 1})
+        rng = random.Random(7)
+        names = ("x", "y")
+        images = {"x": MultiPoly.gens(3, names)[1], "y": random_poly(rng, 3, names)}
+        for _ in range(20):
+            f, g = random_poly(rng, 3, names), random_poly(rng, 3, names)
+            for r in (f + g, f - g, f * g, f.substitute(images), f.derivative("x")):
+                assert r.terms == MultiPoly(3, names, r.terms).terms
+                assert all(0 < c < 3 and type(e) is tuple for e, c in r.terms.items())
+
     def test_substitution_is_ring_hom(self):
         rng = random.Random(5)
         names = ("x", "y")
