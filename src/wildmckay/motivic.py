@@ -20,6 +20,7 @@ dicts; fractions.Fraction appears only at the realizations.
 
 from __future__ import annotations
 
+import heapq
 import math
 from fractions import Fraction
 from typing import Union
@@ -344,20 +345,41 @@ def _divide(a: dict[int, int], b: dict[int, int], exact: bool = False):
     and the quotient so far by lc(b) (pseudo-division), so s*a = quotient*b
     + remainder for a power s of lc(b), with deg remainder < deg b.  With
     exact=True, b must divide a over Z: a step that would need scaling, or
-    a nonzero remainder, raises InternalMismatch."""
+    a nonzero remainder, raises InternalMismatch.  The arguments are left
+    unchanged: the steps update a local copy of a in place, and a heap of
+    its exponents gives the leading term, skipping cancelled ones."""
     db = max(b)
     lb = b[db]
+    a = dict(a)
+    heap = [-k for k in a]
+    heapq.heapify(heap)
     quot: dict[int, int] = {}
-    while a and (da := max(a)) >= db:
+    while heap and (da := -heap[0]) >= db:
+        heapq.heappop(heap)
+        if da not in a:
+            continue
         c, m = divmod(a[da], lb)
         if m:
             if exact:
                 raise InternalMismatch("the divisor does not divide over Z")
-            a = {k: v * lb for k, v in a.items()}
-            quot = {k: v * lb for k, v in quot.items()}
+            for k in a:
+                a[k] *= lb
+            for k in quot:
+                quot[k] *= lb
             c = a[da] // lb
-        quot[da - db] = c
-        a = _add_terms(a, {k + da - db: -c * v for k, v in b.items()})
+        shift = da - db
+        quot[shift] = c
+        for k, v in b.items():
+            e = k + shift
+            if e in a:
+                s = a[e] - c * v
+                if s:
+                    a[e] = s
+                else:
+                    del a[e]
+            else:
+                a[e] = -c * v
+                heapq.heappush(heap, -e)
     if exact and a:
         raise InternalMismatch("the divisor leaves a nonzero remainder")
     return quot, a

@@ -16,7 +16,8 @@ The paper sums those series into one closed form, the twisted sum
 
 and M_st, the origin-fiber class and the projectivized invariant are each
 head + coeff * T for Laurent polynomials head and coeff, built in one
-place, _twisted_sum.  Everything here returns canonical MotivicValue's or
+place, _twisted_sum, as one fraction over 1 - L^(p-1-D) that is reduced
+to lowest terms once.  Everything here returns canonical MotivicValue's or
 exact rationals and computes each quantity by one route; the independent
 routes (the stratum integral, the projectivization from its definition,
 the sector sum of the stack pair) are cross-checked in the verification
@@ -32,7 +33,7 @@ from fractions import Fraction
 
 from .covers import InvalidJump, count_extensions
 from .gf import PreconditionError, is_prime, prime_power_decomposition
-from .motivic import L, MotivicValue, Rat, geometric_sum
+from .motivic import L, DivergentSeries, MotivicValue, Rat, _add_terms, _mul_terms
 
 
 class NotStringilyKLT(ArithmeticError, PreconditionError):
@@ -45,6 +46,23 @@ class NotKLT(ArithmeticError, PreconditionError):
 
 class BaseFieldMismatch(PreconditionError):
     """q is not a power of the representation's characteristic."""
+
+
+# Output guard on the closed forms: the degree of a fraction in L before its
+# one reduction, counted in units of L^(1/r).  At 2^16 a value is reduced and
+# printed in about a second as about 3 MB of JSON; both grow with the degree.
+MAX_DEGREE = 2 ** 16
+
+
+class DegreeTooLarge(PreconditionError):
+    """A closed form's unreduced degree exceeds MAX_DEGREE."""
+
+
+def _require_degree(degree: Rat) -> None:
+    # over its lowest denominator r, the numerator counts units of L^(1/r)
+    if (units := Fraction(degree).numerator) > MAX_DEGREE:
+        raise DegreeTooLarge(f"the closed form has degree {units} in L^(1/r) before reduction, "
+                             f"above the output guard of {MAX_DEGREE}")
 
 
 @dataclass(frozen=True)
@@ -145,16 +163,17 @@ def integrate_over_covers(p: int, F: QuasiLinearExponent) -> MotivicValue:
 
         (L-1) L^(s-1+F(s)) * sum_{n>=0} L^((p-1+slope) n),
 
-    convergent iff slope + p - 1 < 0.
-    """
+    convergent iff slope + p - 1 < 0.  All p - 1 series share that ratio,
+    so their numerators are summed over one 1 - L^(p-1+slope)."""
     if F.p != p:
         raise ValueError("exponent and prime disagree")
-    total = MotivicValue.l_power(F.base)
     ratio = p - 1 + F.slope
-    for s in range(1, p):
-        coeff = (L - 1) * MotivicValue.l_power(s - 1 + F.residues[s - 1])
-        total = total + geometric_sum(coeff, ratio)
-    return total
+    if ratio >= 0:
+        raise DivergentSeries(f"geometric series with exponent {ratio} >= 0 diverges")
+    den = {0: 1, ratio: -1}
+    lows = Counter(s - 1 + F.residues[s - 1] for s in range(1, p))
+    num = _add_terms(_mul_terms({F.base: 1}, den), _mul_terms({1: 1, 0: -1}, lows))
+    return MotivicValue.from_terms(num, den)
 
 
 def _require_stringily_klt(rep: RepType) -> None:
@@ -166,19 +185,25 @@ def _require_stringily_klt(rep: RepType) -> None:
         )
 
 
-def _twisted_sum(rep: RepType, head: MotivicValue, coeff: MotivicValue) -> MotivicValue:
+def _twisted_sum(rep: RepType, head: dict[int, int], coeff: dict[int, int]) -> MotivicValue:
     """head + coeff * T, with T the p - 1 geometric series over the twisted
     strata summed:
 
         T = (sum_{s=1}^{p-1} L^(s - sht(s))) / (1 - L^(p-1-D)).
 
-    Defined iff D >= p.  head and coeff are Laurent polynomials in L; the
-    whole value is put over 1 - L^(p-1-D) and divided once, so it is
+    Defined iff D >= p.  head and coeff are Laurent polynomials in L, given
+    as {exponent: coefficient}; the value is the one fraction
+
+        (head * (1 - L^(p-1-D)) + coeff * sum_s L^(s - sht(s))) / (1 - L^(p-1-D)),
+
     reduced to lowest terms once."""
     _require_stringily_klt(rep)
-    s_sum = MotivicValue.from_terms(Counter(s - shift_number(rep, s) for s in range(1, rep.p)))
-    den = MotivicValue.one() - MotivicValue.l_power(rep.p - 1 - shift_slope(rep))
-    return (head * den + coeff * s_sum) / den
+    ratio = rep.p - 1 - shift_slope(rep)
+    _require_degree(rep.dim - ratio)
+    den = {0: 1, ratio: -1}
+    s_sum = Counter(s - shift_number(rep, s) for s in range(1, rep.p))
+    num = _add_terms(_mul_terms(head, den), _mul_terms(coeff, s_sum))
+    return MotivicValue.from_terms(num, den)
 
 
 def stringy_invariant(rep: RepType) -> MotivicValue:
@@ -187,8 +212,8 @@ def stringy_invariant(rep: RepType) -> MotivicValue:
     Defined iff D >= p; without reflections it is also the stringy
     invariant of the quotient variety itself.
     """
-    coeff = MotivicValue.l_power(rep.summands - 1) * (L - 1)
-    return _twisted_sum(rep, MotivicValue.l_power(rep.dim), coeff)
+    l = rep.summands
+    return _twisted_sum(rep, {rep.dim: 1}, {l: 1, l - 1: -1})
 
 
 def stringy_invariant_via_strata(rep: RepType) -> MotivicValue:
@@ -231,7 +256,7 @@ def origin_fiber_class(rep: RepType) -> MotivicValue:
     """Integral of L^(-sht) over the cover moduli, 1 + (L-1) L^(-1) T: for
     reflection-free quotients with a crepant resolution this is the class
     of the fiber over the origin."""
-    return _twisted_sum(rep, MotivicValue.one(), (L - 1) * MotivicValue.l_power(-1))
+    return _twisted_sum(rep, {0: 1}, {0: 1, -1: -1})
 
 
 def origin_fiber_point_count(rep: RepType, q: int) -> Fraction:
@@ -259,6 +284,7 @@ def smooth_pair_invariant(d: int, a: Rat) -> MotivicValue:
     a = Fraction(a)
     if a >= 1:
         raise NotKLT(f"coefficient a = {a} >= 1")
+    _require_degree(d + 1 - a)
     off = MotivicValue.l_power(d) - MotivicValue.l_power(d - 1)
     denom = MotivicValue.l_power(1 - a) - MotivicValue.one()
     return off + MotivicValue.l_power(d - 1) * (L - 1) / denom
@@ -273,6 +299,7 @@ def stack_pair_invariant(p: int, a: Rat) -> MotivicValue:
     a = Fraction(a)
     if a >= 2 - p:
         raise NotKLT(f"coefficient a = {a} >= 2 - p = {2 - p}")
+    _require_degree(4 - a - p)
     return (L * L - L) / (MotivicValue.one() - MotivicValue.l_power(a + p - 2))
 
 
@@ -281,9 +308,7 @@ def projectivized_invariant(rep: RepType) -> MotivicValue:
 
         (L^d - 1)/(L - 1) + (L^l - 1) T / L.
     """
-    head = (MotivicValue.l_power(rep.dim) - 1) / (L - 1)
-    coeff = (MotivicValue.l_power(rep.summands) - 1) * MotivicValue.l_power(-1)
-    return _twisted_sum(rep, head, coeff)
+    return _twisted_sum(rep, dict.fromkeys(range(rep.dim), 1), {rep.summands - 1: 1, -1: -1})
 
 
 def poincare_duality_holds(rep: RepType) -> bool:

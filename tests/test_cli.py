@@ -184,9 +184,10 @@ class TestExitCodes:
     def test_precondition_classes(self):
         from wildmckay.covers import CountTooLarge, EnumerationTooLarge, InvalidJump
         from wildmckay.gf import PreconditionError, PrimalityUnproven
-        from wildmckay.stringy import BaseFieldMismatch, NotKLT, NotStringilyKLT
+        from wildmckay.stringy import BaseFieldMismatch, DegreeTooLarge, NotKLT, NotStringilyKLT
 
-        for exc in (PrimalityUnproven, InvalidJump, EnumerationTooLarge, CountTooLarge, BaseFieldMismatch):
+        for exc in (PrimalityUnproven, InvalidJump, EnumerationTooLarge, CountTooLarge, BaseFieldMismatch,
+                    DegreeTooLarge):
             assert issubclass(exc, PreconditionError)
         for exc in (NotStringilyKLT, NotKLT):
             assert issubclass(exc, PreconditionError) and issubclass(exc, ArithmeticError)
@@ -344,6 +345,26 @@ class TestHugeIntegers:
         assert time.perf_counter() - start < 1.0
         assert code == 2
         assert "above the output guard of 1048576" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ("stringy", "invariant", "--p", "1009", "--dims", "1009,1009"),
+        ("stringy", "pair", "--p", "3", "--a=-1000000"),
+        ("stringy", "pair", "--p", "2305843009213693951", f"--a=-{10 ** 30}"),
+        ("stringy", "pair", "--p", "2305843009213693951", "--stack", f"--a=-{10 ** 30}"),
+    ])
+    def test_closed_form_beyond_the_output_guard_exits_2_quickly(self, capsys, argv):
+        start = time.perf_counter()
+        code = main(list(argv))
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert f"above the output guard of {stringy.MAX_DEGREE}" in capsys.readouterr().err
+
+    def test_closed_form_at_the_output_guard_is_exact(self, capsys):
+        # 3 - a = MAX_DEGREE: the largest smooth pair the guard lets through
+        a = 3 - stringy.MAX_DEGREE
+        code, out = run(capsys, "stringy", "pair", "--p", "3", f"--a={a}")
+        assert code == 0
+        assert json.loads(out) == stringy.smooth_pair_invariant(2, a).to_json()
 
 
 class TestParserPaths:

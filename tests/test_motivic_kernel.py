@@ -11,9 +11,10 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from wildmckay import acceptance, stringy
+from wildmckay import acceptance, motivic, stringy
+from wildmckay.cli import main
 from wildmckay.gf import InternalMismatch
-from wildmckay.motivic import L, MotivicValue, _divide, _gcd
+from wildmckay.motivic import L, MotivicValue, _canonicalize, _divide, _gcd, _mul_terms
 
 X = sympy.Symbol("x")
 
@@ -121,6 +122,38 @@ class TestIntegerKernel:
         with pytest.raises(InternalMismatch):
             _divide({1: 1}, {1: 2}, exact=True)
         assert _divide({2: 1, 0: -1}, {1: 1, 0: 1}, exact=True) == ({1: 1, 0: -1}, {})
+
+    def test_division_leaves_its_arguments_unchanged(self):
+        rng = random.Random(14)
+        for _ in range(100):
+            a = _random_poly(rng, rng.randint(0, 8))
+            b = _random_poly(rng, rng.randint(0, 4))
+            if not b:
+                continue
+            a_before, b_before = dict(a), dict(b)
+            _divide(a, b)
+            assert a == a_before and b == b_before
+            # exact mode, on a product that divides and on one step that cannot
+            ab = _mul_terms(a, b)
+            assert _divide(ab, b, exact=True) == (a, {})
+            assert a == a_before and b == b_before
+        a, b = {2: 1, 0: 1}, {1: 2}
+        with pytest.raises(InternalMismatch):
+            _divide(a, b, exact=True)
+        assert a == {2: 1, 0: 1} and b == {1: 2}
+
+    def test_stringy_invariant_call_canonicalizes_four_times(self, monkeypatch, capsys):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _canonicalize(*args)
+
+        monkeypatch.setattr(motivic, "_canonicalize", counted)
+        assert main(["stringy", "invariant", "--p", "7", "--dims", "7,7"]) == 0
+        capsys.readouterr()
+        # M_st, E0, the projectivized invariant and its dual: one reduction each
+        assert len(calls) <= 4
 
     def test_canonical_forms_match_sympy_cancel(self):
         rng = random.Random(13)

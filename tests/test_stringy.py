@@ -1,6 +1,7 @@
 """Stringy invariants: shift numbers, integrals, closed forms, duality."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,9 @@ import pytest
 from wildmckay.acceptance import _projectivized_via_definition, _stack_pair_via_sectors
 from wildmckay.motivic import L, MotivicValue, DivergentSeries
 from wildmckay.stringy import (
+    MAX_DEGREE,
     BaseFieldMismatch,
+    DegreeTooLarge,
     InvalidJump,
     NotKLT,
     NotStringilyKLT,
@@ -152,6 +155,26 @@ class TestStringyInvariant:
         for rep in rep_types_iter(3, 3):
             if shift_slope(rep) >= rep.p:
                 assert stringy_invariant(rep) == stringy_invariant_via_strata(rep)
+        for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
+            rep = RepType(p, [p, p])
+            assert stringy_invariant(rep) == stringy_invariant_via_strata(rep)
+
+    def test_stratum_sum_at_p_31_is_fast(self):
+        rep = RepType(31, [31, 31])
+        start = time.perf_counter()
+        stringy_invariant_via_strata(rep)
+        assert time.perf_counter() - start < 1.0
+
+    def test_output_guard(self):
+        rep = RepType(257, [257, 257])  # unreduced degree 514 + 256^2 > 2^16
+        assert rep.dim + shift_slope(rep) - rep.p + 1 > MAX_DEGREE
+        for quantity in (stringy_invariant, origin_fiber_class, projectivized_invariant):
+            with pytest.raises(DegreeTooLarge):
+                quantity(rep)
+        with pytest.raises(DegreeTooLarge):
+            smooth_pair_invariant(2, 2 - MAX_DEGREE)
+        with pytest.raises(DegreeTooLarge):
+            stack_pair_invariant(3, Fraction(-MAX_DEGREE, 3))
 
     def test_euler_closed_form(self):
         assert stringy_euler(RepType(3, [3])) == 3
