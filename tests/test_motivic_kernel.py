@@ -133,14 +133,14 @@ class TestIntegerKernel:
             a_before, b_before = dict(a), dict(b)
             _divide(a, b)
             assert a == a_before and b == b_before
-            # exact mode, on a product that divides and on one step that cannot
-            ab = _mul_terms(a, b)
-            assert _divide(ab, b, exact=True) == (a, {})
+            assert _divide(_mul_terms(a, b), b, exact=True) == (a, {})
             assert a == a_before and b == b_before
-        a, b = {2: 1, 0: 1}, {1: 2}
-        with pytest.raises(InternalMismatch):
-            _divide(a, b, exact=True)
-        assert a == {2: 1, 0: 1} and b == {1: 2}
+        # exact mode that fails at a step and at the remainder
+        for b in ({1: 2}, {1: 1, 0: 1}):
+            a = {2: 1, 0: 1}
+            with pytest.raises(InternalMismatch):
+                _divide(a, b, exact=True)
+            assert a == {2: 1, 0: 1}
 
     def test_stringy_invariant_call_canonicalizes_four_times(self, monkeypatch, capsys):
         calls = []
