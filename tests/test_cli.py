@@ -391,6 +391,57 @@ class TestParserPaths:
         ("verify", "v3", "--p", "5"),
     ]
 
+    # SHA-256 of json.dumps([exit code, stdout, stderr]) at COLUMNS=80, frozen
+    # from the hand-written argparse parser before the command table replaced
+    # it: help on every command path, ARGPARSE_EXITS, and a few calls that
+    # argparse alone must read.
+    PARSER_TEXT = [
+        ("-h", "9ab76f30248ed43562dcdc833daeecef2cc22110966330ab44886268408a8011"),
+        ("stringy -h", "9258263da0511bd81f4375ae714c125b01438a8cc365bb980e310632fa302d97"),
+        ("stringy invariant -h", "682b5d0d944e32e0da553fafc31434760ec1a44a822a54059f8e4049c8ef0522"),
+        ("stringy pair -h", "c90f5d6d9d01426c7f69bab88a502d697af5d8701abd3101b61273e28e04ece4"),
+        ("stringy pointcount -h", "fb939970214b530f2b6e7a029c6d936df2c00dd050e03e611e270686b5289bbd"),
+        ("covers -h", "c8629d7f83e7e5b39755dac8668b4bbf1b49f577662afc1173c9c617707c5ebd"),
+        ("covers reduce -h", "ba174e8ec0a1a5e51d735ee5b22832d5a113f261958ebf59b711c4f82a3720c3"),
+        ("covers census -h", "ea36df8c7bb48fdf33b93bec650c7a245b04d15767ce9e3aebe9bd6ab7d0d742"),
+        ("covers count -h", "e041f9aba9a7e1bafcb5d7634a39386532aff97b019d0091c409c4157b5ff42e"),
+        ("verify -h", "c8b48ec047f15eed504f294d636c3f649b0babfdd8c3c3189f0e906c817f5a5d"),
+        ("verify v3 -h", "30dbeeca5868c2d0947e6a862294757865f28d7b3ee86684ea667fe2e6aedd91"),
+        ("verify v2v2 -h", "d8f4edaea518de963f75b17f1e05d3c62c91d808f924431a08cdb6557a7684f3"),
+        ("verify reflection -h", "454ed9467de839216cccb4941c7f4a5070f5ac0d26bbe3aca5f01143c5f5e446"),
+        ("suite -h", "07546daaa146f0e3cddf1afcc02d14a8c28e5ef424d8850a8ce7d2e206a22e36"),
+        ("", "f6f61b3f76a7f5521302f26b25748e72ffaa266e5bca6811cd1d5c2f461b7be6"),
+        ("--help", "9ab76f30248ed43562dcdc833daeecef2cc22110966330ab44886268408a8011"),
+        ("--he", "9ab76f30248ed43562dcdc833daeecef2cc22110966330ab44886268408a8011"),
+        ("stringy", "cd3d436d5fc3866879523e51f86413345059605de50fe111fe8dca40642f77b0"),
+        ("stringy invariant", "a2ae23870d26ee2580018e49c9988218e01f473fe1874a835f0a3f5df38b5371"),
+        ("stringy bogus", "f7627f03120f44b8e9f787de7d2a30b05ca4ba4358f648ec9c1267b43f6053da"),
+        ("bogus", "ee06398ca40d92fd2fa440ccc8877e9cca53e95be4e16a8c4b53d10c57f2ec50"),
+        ("stringy invariant --p x --dims 3", "f8a42481ceeb98952ced474d97b03821cfef303468f7fb6c9381d3b26e8bd7af"),
+        ("covers census --p 3 --q 3 --max-exp 3 --max",
+         "e54581fc408d6cd1a7e1008ec5ba47c313a919186b1a1de76635d8fd8fd7ee7a"),
+        ("covers reduce --p 2 --q 4 --series -2:1", "ee624a269ace1f309ca28b7965e2d2525c74354c03ecd55e5256eb4fcb41f770"),
+        ("suite --seed", "50e050bca941641855fff555fba420b813f56fb72a9c664b3186e78ddc3511cc"),
+        ("verify v2v2 extra", "57242a098abf6ed14a019348942500c09c68267ee7dcbfc301fa49de357eba95"),
+        ("--format xml suite", "e0cec3d30d25e662cc3e8ecc1c396b70e8dedabc3c8dc3cfe8c7fd1c8c6e24b0"),
+        ("stringy pair --p 3 --a=-2 --stack=1", "0ac5e840d8157fdb5cf1753d56a8c4a75964bf704831e12e584675aec5112079"),
+        ("covers count --p 2 --q 2", "7c61b4e0c5e72b21fa8cd82a3b3f4ef0e387780dff062152e36e7bee21bbc759"),
+        ("verify v3 --p 5 --p 7", "b8b7552d07f5e342127e6689310dd21eb84adec2f2e11cddccef88d7036b32bc"),
+        ("covers census --p 2 --q 2 --max-exp 3 -- --list-forms",
+         "16af480188b31e064d4409b90e1b0787672b7143b4bb014bfea3a295cc29cf59"),
+        ("stringy invariant --p=-3 --dims 3", "53fc6b1b9244a16c2d58d32cf1a70d9fb55584cd7b521d30c6173d5af3587bcf"),
+    ]
+
+    @pytest.mark.parametrize("line,digest", PARSER_TEXT, ids=lambda x: x[:40] or "(none)")
+    def test_parser_text_is_frozen(self, capsys, monkeypatch, line, digest):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
+        try:
+            code = main(line.split())
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert hashlib.sha256(json.dumps([code, out, err]).encode()).hexdigest() == digest
+
     @pytest.mark.parametrize("argv", ARGPARSE_EXITS, ids=lambda argv: " ".join(argv) or "(none)")
     def test_same_output_and_exit_as_the_full_parser(self, capsys, argv):
         with pytest.raises(SystemExit) as via_main:
