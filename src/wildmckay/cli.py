@@ -9,9 +9,11 @@ Exit codes: 0 success, 1 internal error, 2 precondition violation
 (gf.PreconditionError: NotStringilyKLT, NotKLT, invalid flags and
 values), 3 verification failure.
 
-A call builds only the parser of its own subcommand, the one that argv's
-first two words name; help and every parse error come from the full
-parser, built only then.
+Every command, subcommand and option is one entry of the COMMANDS table.
+A plain call (a command path, then each of its options once, by its exact
+flag) is read straight from the table by `parse`; any other argv, with
+help and every parse error, goes to the argparse parser that
+`build_parser` builds from the same table.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from fractions import Fraction
 from importlib import resources
 
 from . import acceptance, covers, stringy
-from .gf import GF, PreconditionError, prime_power_decomposition
+from .gf import GF, PreconditionError, prime_power_decomposition, require_prime
 from .laurent import LaurentSeries
 
 EXIT_OK = 0
@@ -151,6 +153,7 @@ def _cmd_stringy_pair(args) -> int:
     if args.stack:
         value = stringy.stack_pair_invariant(args.p, a)
     else:
+        require_prime(args.p)  # the smooth model does not depend on p
         value = stringy.smooth_pair_invariant(2, a)
     _emit(value.to_json(), args.format)
     return EXIT_OK
@@ -245,139 +248,120 @@ def _cmd_suite(args) -> int:
     return EXIT_OK if report["all_ok"] else EXIT_VERIFICATION
 
 
-# -- parser -------------------------------------------------------------------
+# -- command table -------------------------------------------------------------
+
+REQUIRED = object()  # the default of an option that must be given
 
 
-class _Fallback(Exception):
-    """The leaf parser would print or exit; the full parser takes over."""
+def _opt(flag, kind=int, default=REQUIRED, help=None):
+    """A leaf's option (flag, kind, default, help); kind is int, str, or bool
+    for a switch, whose default is False."""
+    return flag, kind, False if kind is bool else default, help
 
 
-class _LeafParser(argparse.ArgumentParser):
-    """A parser that hands every output and exit to the full parser; its
-    subparsers inherit the class through `parser_class`."""
+# Every command path, in help order: a group is (help, dest of its
+# subcommand), a leaf is (help, handler, options).
+COMMANDS = {
+    ("stringy",): ("stringy invariants of quotient singularities", "subcommand"),
+    ("stringy", "invariant"): ("full invariant report for a representation type", _cmd_stringy_invariant, (
+        _opt("--p"), _opt("--dims", str, help="comma-separated summand dimensions"))),
+    ("stringy", "pair"): ("pair invariant for the 2-dimensional reflection case", _cmd_stringy_pair, (
+        _opt("--p"), _opt("--a", str, help="boundary coefficient, e.g. -1/2"),
+        _opt("--stack", bool, help="stack-side invariant instead of the smooth model"))),
+    ("stringy", "pointcount"): ("weighted extension count of the origin fiber", _cmd_stringy_pointcount, (
+        _opt("--p"), _opt("--dims", str), _opt("--q"))),
+    ("covers",): ("Artin-Schreier covers of the formal disk", "subcommand"),
+    ("covers", "reduce"): ("normal form of a cover class", _cmd_covers_reduce, (
+        _opt("--p"), _opt("--q"), _opt("--series", str, help='comma-separated "exp:coeff" pairs; write '
+                                       "--series=-2:1,... when the first exponent is negative"))),
+    ("covers", "census"): ("brute-force reduction census", _cmd_covers_census, (
+        _opt("--p"), _opt("--q"), _opt("--max-exp"),
+        _opt("--max-enum", default=10 ** 7, help="enumeration guard on q^max_exp"),
+        _opt("--list-forms", bool, help="include the normal forms in the report"))),
+    ("covers", "count"): ("stratum counting formulas", _cmd_covers_count, (
+        _opt("--p"), _opt("--q"), _opt("--jump"),
+        _opt("--extensions", bool, help="count field extensions instead of representative polynomials"))),
+    ("verify",): ("invariant-ring relation oracles", "relation"),
+    ("verify", "v3"): ("degree-3 indecomposable hypersurface equation", _cmd_verify, (_opt("--p"),)),
+    ("verify", "v2v2"): ("two 2-dimensional summands at p = 2", _cmd_verify, ()),
+    ("verify", "reflection"): ("reflection-case Jacobian determinant", _cmd_verify, (_opt("--p"), _opt("--d"))),
+    ("suite",): ("run the full verification battery", _cmd_suite, (
+        _opt("--seed", default=0), _opt("--only", str, None, "run only criteria whose name contains this"))),
+}
 
-    def error(self, message):
-        raise _Fallback
 
-    def exit(self, status=0, message=None):
-        raise _Fallback
-
-    def print_help(self, file=None):
-        raise _Fallback
-
-    def print_usage(self, file=None):
-        raise _Fallback
-
-
-def build_parser(path=None) -> argparse.ArgumentParser:
-    """The full parser or, given `path` (argv[:2]), a `_LeafParser` holding
-    only the command and subcommand that `path` names."""
-
-    def on_path(*names) -> bool:
-        return path is None or tuple(path[:len(names)]) == names
-
-    parser = (argparse.ArgumentParser if path is None else _LeafParser)(
+def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser of COMMANDS, source of all help and error text."""
+    parser = argparse.ArgumentParser(
         prog="wildmckay",
         description="Exact invariants of wild Z/p quotient singularities and "
         "Artin-Schreier covers of the formal disk.",
     )
     parser.add_argument("--format", choices=("json", "tsv"), default="json")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    if on_path("stringy"):
-        s = sub.add_parser("stringy", help="stringy invariants of quotient singularities")
-        ssub = s.add_subparsers(dest="subcommand", required=True)
-
-        if on_path("stringy", "invariant"):
-            inv = ssub.add_parser("invariant", help="full invariant report for a representation type")
-            inv.add_argument("--p", type=int, required=True)
-            inv.add_argument("--dims", required=True, help="comma-separated summand dimensions")
-            inv.set_defaults(handler=_cmd_stringy_invariant)
-
-        if on_path("stringy", "pair"):
-            pair = ssub.add_parser("pair", help="pair invariant for the 2-dimensional reflection case")
-            pair.add_argument("--p", type=int, required=True)
-            pair.add_argument("--a", required=True, help="boundary coefficient, e.g. -1/2")
-            pair.add_argument("--stack", action="store_true", help="stack-side invariant instead of the smooth model")
-            pair.set_defaults(handler=_cmd_stringy_pair)
-
-        if on_path("stringy", "pointcount"):
-            pc = ssub.add_parser("pointcount", help="weighted extension count of the origin fiber")
-            pc.add_argument("--p", type=int, required=True)
-            pc.add_argument("--dims", required=True)
-            pc.add_argument("--q", type=int, required=True)
-            pc.set_defaults(handler=_cmd_stringy_pointcount)
-
-    if on_path("covers"):
-        c = sub.add_parser("covers", help="Artin-Schreier covers of the formal disk")
-        csub = c.add_subparsers(dest="subcommand", required=True)
-
-        if on_path("covers", "reduce"):
-            red = csub.add_parser("reduce", help="normal form of a cover class")
-            red.add_argument("--p", type=int, required=True)
-            red.add_argument("--q", type=int, required=True)
-            red.add_argument("--series", required=True,
-                             help='comma-separated "exp:coeff" pairs; write --series=-2:1,... '
-                                  "when the first exponent is negative")
-            red.set_defaults(handler=_cmd_covers_reduce)
-
-        if on_path("covers", "census"):
-            cen = csub.add_parser("census", help="brute-force reduction census")
-            cen.add_argument("--p", type=int, required=True)
-            cen.add_argument("--q", type=int, required=True)
-            cen.add_argument("--max-exp", type=int, required=True, dest="max_exp")
-            cen.add_argument("--max-enum", type=int, default=10 ** 7, dest="max_enum",
-                             help="enumeration guard on q^max_exp")
-            cen.add_argument("--list-forms", action="store_true", dest="list_forms",
-                             help="include the normal forms in the report")
-            cen.set_defaults(handler=_cmd_covers_census)
-
-        if on_path("covers", "count"):
-            cnt = csub.add_parser("count", help="stratum counting formulas")
-            cnt.add_argument("--p", type=int, required=True)
-            cnt.add_argument("--q", type=int, required=True)
-            cnt.add_argument("--jump", type=int, required=True)
-            cnt.add_argument("--extensions", action="store_true",
-                             help="count field extensions instead of representative polynomials")
-            cnt.set_defaults(handler=_cmd_covers_count)
-
-    if on_path("verify"):
-        v = sub.add_parser("verify", help="invariant-ring relation oracles")
-        vsub = v.add_subparsers(dest="relation", required=True)
-
-        if on_path("verify", "v3"):
-            v3 = vsub.add_parser("v3", help="degree-3 indecomposable hypersurface equation")
-            v3.add_argument("--p", type=int, required=True)
-            v3.set_defaults(handler=_cmd_verify)
-
-        if on_path("verify", "v2v2"):
-            v22 = vsub.add_parser("v2v2", help="two 2-dimensional summands at p = 2")
-            v22.set_defaults(handler=_cmd_verify)
-
-        if on_path("verify", "reflection"):
-            refl = vsub.add_parser("reflection", help="reflection-case Jacobian determinant")
-            refl.add_argument("--p", type=int, required=True)
-            refl.add_argument("--d", type=int, required=True)
-            refl.set_defaults(handler=_cmd_verify)
-
-    if on_path("suite"):
-        su = sub.add_parser("suite", help="run the full verification battery")
-        su.add_argument("--seed", type=int, default=0)
-        su.add_argument("--only", default=None, help="run only criteria whose name contains this")
-        su.set_defaults(handler=_cmd_suite)
-
+    groups = {(): parser.add_subparsers(dest="command", required=True)}
+    for path, (text, *rest) in COMMANDS.items():
+        node = groups[path[:-1]].add_parser(path[-1], help=text)
+        if len(rest) == 1:
+            groups[path] = node.add_subparsers(dest=rest[0], required=True)
+            continue
+        handler, options = rest
+        for flag, kind, default, hint in options:
+            if kind is bool:
+                node.add_argument(flag, action="store_true", help=hint)
+            else:
+                node.add_argument(flag, type=kind, required=default is REQUIRED,
+                                  default=None if default is REQUIRED else default, help=hint)
+        node.set_defaults(handler=handler)
     return parser
 
 
+def parse(argv):
+    """What build_parser().parse_args(argv) returns for a plain call, read
+    straight from COMMANDS: argv[:2] names a leaf, then each of its options
+    appears at most once, by its exact flag, as --flag=value or as --flag
+    value with a value not starting with "-".  Any other argv (help, a
+    leading --format, abbreviations, repeats, a missing required option, an
+    unreadable int) gives None and is left to argparse."""
+    path = tuple(argv[:2])
+    if path not in COMMANDS:
+        path = path[:1]
+    entry = COMMANDS.get(path, ())
+    if len(entry) != 3:
+        return None
+    values = {"format": "json", "command": path[0], "handler": entry[1]}
+    if len(path) == 2:
+        values[COMMANDS[path[:1]][1]] = path[1]
+    options = {flag: (flag[2:].replace("-", "_"), kind, default) for flag, kind, default, _ in entry[2]}
+    tokens = iter(argv[len(path):])
+    for token in tokens:
+        flag, eq, value = token.partition("=")
+        if flag not in options:  # unknown, abbreviated or repeated
+            return None
+        dest, kind, _ = options.pop(flag)
+        if kind is bool:
+            if eq:
+                return None
+            value = True
+        elif not eq:
+            value = next(tokens, "-")  # a missing value reads as a flag
+            if value.startswith("-"):
+                return None
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+        values[dest] = value
+    for dest, _, default in options.values():
+        if default is REQUIRED:
+            return None
+        values[dest] = default
+    return argparse.Namespace(**values)
+
+
 def main(argv=None) -> int:
-    # Whatever the leaf parser would print or exit on (help, every parse
-    # error, a path it does not hold) is parsed again from scratch by the
-    # full parser, so all usage, help and error text comes from it.
     argv = sys.argv[1:] if argv is None else list(argv)
-    try:
-        args = build_parser(argv[:2]).parse_args(argv)
-    except _Fallback:
-        args = build_parser().parse_args(argv)
+    args = parse(argv) or build_parser().parse_args(argv)
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)  # reports print exact integers of any size
     try:

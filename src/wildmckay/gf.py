@@ -96,6 +96,12 @@ def prime_power_decomposition(q: int) -> tuple[int, int] | None:
     return (r, e) if is_prime(r) else None
 
 
+def require_prime(p: int) -> None:
+    """PreconditionError unless p is prime, the characteristic of a field."""
+    if not is_prime(p):
+        raise PreconditionError(f"characteristic {p} is not prime")
+
+
 def require_prime_power(q: int) -> tuple[int, int]:
     """prime_power_decomposition(q), or PreconditionError if q is not a prime power."""
     pe = prime_power_decomposition(q)
@@ -363,8 +369,7 @@ class GaloisField:
     """The field F_{p^e}; construct via the cached factory GF(p, e)."""
 
     def __init__(self, p: int, e: int):
-        if not is_prime(p):
-            raise PreconditionError(f"characteristic {p} is not prime")
+        require_prime(p)
         if e < 1:
             raise PreconditionError("extension degree must be >= 1")
         self.p = p

@@ -18,7 +18,7 @@ import math
 from operator import add
 from dataclasses import dataclass
 
-from .gf import PreconditionError, binary_power, is_prime
+from .gf import PreconditionError, binary_power, is_prime, require_prime
 
 
 class MultiPoly:
@@ -342,8 +342,7 @@ def reflection_jacobian_check(p: int, d: int) -> dict:
     """For the reflection action sigma(x) = x + y on k[x, y, z_1, ...]:
     check that x^p - x y^(p-1) is invariant and that the Jacobian
     determinant of the invariant generators equals +-y^(p-1)."""
-    if not is_prime(p):
-        raise PreconditionError(f"characteristic {p} is not prime")
+    require_prime(p)
     if d < 2:
         raise PreconditionError("dimension must be at least 2")
     names = ("x", "y") + tuple(f"z{i + 1}" for i in range(d - 2))

@@ -31,8 +31,8 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .covers import InvalidJump, count_extensions
-from .gf import PreconditionError, is_prime, prime_power_decomposition
+from .covers import MAX_COUNT_BITS, InvalidJump
+from .gf import PreconditionError, prime_power_decomposition, require_prime
 from .motivic import L, DivergentSeries, MotivicValue, Rat, _add_terms, _mul_terms
 
 
@@ -58,6 +58,10 @@ class DegreeTooLarge(PreconditionError):
     """A closed form's unreduced degree exceeds MAX_DEGREE."""
 
 
+class PointCountTooLarge(PreconditionError):
+    """A point count's unreduced size exceeds covers.MAX_COUNT_BITS."""
+
+
 def _require_degree(degree: Rat) -> None:
     # over its lowest denominator r, the numerator counts units of L^(1/r)
     if (units := Fraction(degree).numerator) > MAX_DEGREE:
@@ -73,8 +77,7 @@ class RepType:
     dims: tuple[int, ...]
 
     def __init__(self, p: int, dims):
-        if not is_prime(p):
-            raise PreconditionError(f"characteristic {p} is not prime")
+        require_prime(p)
         dims = tuple(int(d) for d in dims)
         if not dims:
             raise PreconditionError("at least one summand is required")
@@ -261,21 +264,25 @@ def origin_fiber_class(rep: RepType) -> MotivicValue:
 
 def origin_fiber_point_count(rep: RepType, q: int) -> Fraction:
     """The weighted count 1 + (p-1)/p * sum_j N_{q,j} / q^sht(j), summed in
-    closed form over exact rationals; equals the point count of the
+    closed form as one exact fraction; equals the point count of the
     origin-fiber class."""
     _require_stringily_klt(rep)
     pe = prime_power_decomposition(q)
     if pe is None or pe[0] != rep.p:
         raise BaseFieldMismatch(f"q = {q} is not a power of p = {rep.p}")
-    p, D = rep.p, shift_slope(rep)
-    ratio = Fraction(q) ** (p - 1 - D)
-    total = Fraction(1)
-    for s in range(1, p):
-        # (p-1)/p * N_{q,s} / q^sht(s) = (q-1) q^(s-1-sht(s)), then the
-        # jump np+s scales it by ratio^n
-        lead = Fraction(p - 1, p) * count_extensions(q, s) * Fraction(q) ** (-shift_number(rep, s))
-        total += lead / (1 - ratio)
-    return total
+    p, k = rep.p, shift_slope(rep) - rep.p + 1
+    # (p-1)/p * N_{q,s} / q^sht(s) = (q-1) q^(s-1-sht(s)), and the jump np+s
+    # scales it by q^(-kn); scaled by q^m, every such lead is an integer
+    exps = [s - 1 - shift_number(rep, s) for s in range(1, p)]
+    m = max(0, -min(exps))
+    # the fraction's numerator and denominator have at most this many bits
+    if (bits := (m + k + p) * q.bit_length()) > MAX_COUNT_BITS:
+        dims = ",".join(map(str, rep.dims))
+        raise PointCountTooLarge(f"the point count for dims {dims} over q = {p}^{pe[1]} needs up to "
+                                 f"{bits} bits, above the output guard of {MAX_COUNT_BITS}")
+    leads = sum((q - 1) * q ** (e + m) for e in exps)
+    den = q ** m * (q ** k - 1)  # q^m (1 - q^-k), times q^k
+    return Fraction(den + leads * q ** k, den)
 
 
 def smooth_pair_invariant(d: int, a: Rat) -> MotivicValue:
@@ -294,8 +301,7 @@ def stack_pair_invariant(p: int, a: Rat) -> MotivicValue:
     """Stringy invariant of the 2-dimensional reflection quotient stack
     against a times its fixed locus, for a < 2 - p: the closed form
     (L^2 - L)/(1 - L^(a+p-2)) of its sector decomposition."""
-    if not is_prime(p):
-        raise PreconditionError(f"characteristic {p} is not prime")
+    require_prime(p)
     a = Fraction(a)
     if a >= 2 - p:
         raise NotKLT(f"coefficient a = {a} >= 2 - p = {2 - p}")

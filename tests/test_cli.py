@@ -1,7 +1,9 @@
 """CLI surface: reports, schema conformance, determinism, exit codes."""
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import subprocess
 import sys
@@ -9,9 +11,11 @@ import time
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wildmckay import stringy
-from wildmckay.cli import build_parser, main, schema_path
+from wildmckay.cli import COMMANDS, REQUIRED, build_parser, main, parse, schema_path
 
 SCHEMA = json.loads(open(schema_path()).read())
 
@@ -72,6 +76,12 @@ class TestStringyCommands:
     def test_pair_not_klt_exit_2(self, capsys):
         code, _ = run(capsys, "stringy", "pair", "--p", "2", "--a", "0", "--stack")
         assert code == 2
+
+    @pytest.mark.parametrize("p", ["4", "-7"])
+    @pytest.mark.parametrize("stack", [(), ("--stack",)])
+    def test_pair_checks_p_with_and_without_stack(self, capsys, p, stack):
+        assert main(["stringy", "pair", "--p", p, "--a=-1", *stack]) == 2
+        assert capsys.readouterr().err == f"error: characteristic {p} is not prime\n"
 
     def test_pointcount(self, capsys):
         code, data = run_json(capsys, "stringy", "pointcount", "--p", "2", "--dims", "2,2", "--q", "4")
@@ -184,10 +194,10 @@ class TestExitCodes:
     def test_precondition_classes(self):
         from wildmckay.covers import CountTooLarge, EnumerationTooLarge, InvalidJump
         from wildmckay.gf import PreconditionError, PrimalityUnproven
-        from wildmckay.stringy import BaseFieldMismatch, DegreeTooLarge, NotKLT, NotStringilyKLT
+        from wildmckay.stringy import BaseFieldMismatch, DegreeTooLarge, NotKLT, NotStringilyKLT, PointCountTooLarge
 
         for exc in (PrimalityUnproven, InvalidJump, EnumerationTooLarge, CountTooLarge, BaseFieldMismatch,
-                    DegreeTooLarge):
+                    DegreeTooLarge, PointCountTooLarge):
             assert issubclass(exc, PreconditionError)
         for exc in (NotStringilyKLT, NotKLT):
             assert issubclass(exc, PreconditionError) and issubclass(exc, ArithmeticError)
@@ -359,6 +369,20 @@ class TestHugeIntegers:
         assert code == 2
         assert f"above the output guard of {stringy.MAX_DEGREE}" in capsys.readouterr().err
 
+    def test_pointcount_beyond_the_output_guard_exits_2_quickly(self, capsys):
+        start = time.perf_counter()
+        code = main(["stringy", "pointcount", "--p", "1009", "--dims", "1009,1009", "--q", "1009"])
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert "above the output guard of 1048576" in capsys.readouterr().err
+
+    def test_pointcount_below_the_output_guard_is_exact(self, capsys):
+        code, out = run(capsys, "stringy", "pointcount", "--p", "151", "--dims", "151,151", "--q", "151")
+        assert code == 0
+        # the independent route: the origin-fiber class evaluated at L = q
+        count = stringy.origin_fiber_class(stringy.RepType(151, (151, 151))).point_count(151)
+        assert out == self.uncapped(lambda: json.dumps(str(count))) + "\n"
+
     def test_closed_form_at_the_output_guard_is_exact(self, capsys):
         # 3 - a = MAX_DEGREE: the largest smooth pair the guard lets through
         a = 3 - stringy.MAX_DEGREE
@@ -368,8 +392,8 @@ class TestHugeIntegers:
 
 
 class TestParserPaths:
-    """main builds only the parsers on argv's path; every argparse output
-    and exit still comes from the full parser."""
+    """main reads plain calls straight from the command table; every other
+    argv, and every argparse output and exit, goes to the full parser."""
 
     ARGPARSE_EXITS = [
         (), ("-h",), ("--help",), ("--he",),
@@ -471,4 +495,80 @@ class TestParserPaths:
 
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
         assert main(list(argv)) == 0
-        assert len(built) <= 3
+        assert built == []
+
+
+LEAF_PATHS = [path for path, entry in COMMANDS.items() if len(entry) == 3]
+INT_TEXTS = st.integers(-10 ** 6, 10 ** 6).map(str) | st.sampled_from(["+3", " 7 ", "1_000", "\u0663"])
+JUNK = st.sampled_from(["", "x", "3,3", "-1/2", "-2:1", "-5", "--", "-h", "0x10", "1.5", "=", "--p"]) | st.text(max_size=4)
+
+
+def argparse_reads(argv):
+    """vars() of the full parser's Namespace, or None where it exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(build_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+@st.composite
+def plain_calls(draw):
+    """A leaf path, then its required options and some of the others in any
+    order, each once by its exact flag, in the = or the space form."""
+    path = draw(st.sampled_from(LEAF_PATHS))
+    argv = list(path)
+    options = [opt for opt in COMMANDS[path][2] if opt[2] is REQUIRED or draw(st.booleans())]
+    for flag, kind, _, _ in draw(st.permutations(options)):
+        if kind is bool:
+            argv.append(flag)
+            continue
+        value = draw(INT_TEXTS if kind is int else st.text(max_size=6))
+        argv += [f"{flag}={value}"] if value.startswith("-") or draw(st.booleans()) else [flag, value]
+    return argv
+
+
+@st.composite
+def any_calls(draw):
+    """Plain calls spoiled by abbreviations, repeats, switch values, junk
+    values, missing options, stray tokens, a leading --format and paths
+    that name no leaf."""
+    path = draw(st.sampled_from(list(COMMANDS) + [(), ("bogus",), ("suite", "suite")]))
+    entry = COMMANDS.get(path, (None, None, ()))
+    flags = [opt[0] for opt in entry[2]] if len(entry) == 3 else ["--p"]
+    argv = draw(st.sampled_from([[], ["--format", "tsv"], ["--format=json"]])) + list(path)
+    for _ in range(draw(st.integers(0, 6))):
+        flag = draw(st.sampled_from(flags + ["--format", "-h", "--", "extra"]))
+        flag = flag[:draw(st.integers(2, max(2, len(flag))))] if draw(st.booleans()) else flag
+        value = draw(INT_TEXTS | JUNK)
+        argv += draw(st.sampled_from([[flag], [f"{flag}={value}"], [flag, value]]))
+    return argv
+
+
+class TestParseMatchesArgparse:
+    """parse(argv) is None or exactly what the full parser reads."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(plain_calls())
+    def test_plain_calls_are_read_without_argparse(self, argv):
+        got = parse(argv)
+        assert got is not None
+        assert vars(got) == argparse_reads(argv)
+
+    @settings(max_examples=500, deadline=None)
+    @given(any_calls())
+    def test_any_call_is_read_as_argparse_reads_it_or_left_to_it(self, argv):
+        got = parse(argv)
+        assert got is None or vars(got) == argparse_reads(argv)
+
+    @settings(max_examples=300, deadline=None)
+    @given(plain_calls(), st.data())
+    def test_a_spoiled_plain_call_is_left_to_argparse_or_read_alike(self, argv, data):
+        i = data.draw(st.integers(0, len(argv)))
+        argv.insert(i, data.draw(st.sampled_from(["--", "-h", "--help", "x", "--p", "--stack=1", "--format"])))
+        got = parse(argv)
+        assert got is None or vars(got) == argparse_reads(argv)
+
+    @pytest.mark.parametrize("argv", TestParserPaths.LEAVES, ids=" ".join)
+    def test_the_benchmark_leaves_are_plain(self, argv):
+        assert vars(parse(list(argv))) == argparse_reads(list(argv))
