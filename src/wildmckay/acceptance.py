@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import covers, stringy
@@ -22,13 +21,15 @@ from .laurent import LaurentSeries
 from .motivic import L, MotivicValue, geometric_sum
 
 
-@dataclass
 class CriterionResult:
-    name: str
-    ok: bool
-    checks: int
-    details: str
-    seconds: float = 0.0
+    __slots__ = ("name", "ok", "checks", "details", "seconds")
+
+    def __init__(self, name: str, ok: bool, checks: int, details: str, seconds: float):
+        self.name = name
+        self.ok = ok
+        self.checks = checks
+        self.details = details
+        self.seconds = seconds
 
     @property
     def line(self) -> str:

@@ -23,7 +23,6 @@ import json
 import os
 import sys
 from fractions import Fraction
-from importlib import resources
 
 from . import acceptance, covers, stringy
 from .gf import GF, PreconditionError, prime_power_decomposition, require_prime
@@ -35,7 +34,7 @@ EXIT_PRECONDITION = 2
 EXIT_VERIFICATION = 3
 
 def schema_path() -> str:
-    return str(resources.files("wildmckay").joinpath("schema.json"))
+    return os.path.join(os.path.dirname(os.path.abspath(__file__)), "schema.json")
 
 
 def _rat(x) -> str:

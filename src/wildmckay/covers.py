@@ -19,7 +19,6 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass, field, fields
 
 from .gf import GF, GaloisField, InternalMismatch, PreconditionError, binary_power, require_prime_power
 from .laurent import INF, InsufficientPrecision, LaurentSeries
@@ -456,22 +455,23 @@ def count_extensions(q: int, j: int) -> int:
     return n
 
 
-@dataclass
 class CensusReport:
-    """Outcome of the brute-force reduction census."""
+    """Outcome of the brute-force reduction census.  `to_json` lists the
+    fields in the order of __slots__, without fiber_sizes and classes."""
 
-    p: int
-    q: int
-    max_exp: int
-    total_inputs: int
-    class_count: int
-    expected_class_count: int
-    jump_histogram: list  # rows [j, count, expected, ok]
-    fiber_sizes: dict  # serialized class key -> fiber size
-    expected_fiber_size: int
-    fibers_uniform: bool
-    witnesses_ok: bool
-    classes: list = field(repr=False, default_factory=list)  # ASCoverClass, sorted
+    __slots__ = (
+        "p", "q", "max_exp", "total_inputs", "class_count", "expected_class_count",
+        "jump_histogram",  # rows [j, count, expected, ok]
+        "fiber_sizes",  # serialized class key -> fiber size
+        "expected_fiber_size", "fibers_uniform", "witnesses_ok",
+        "classes",  # ASCoverClass, sorted
+    )
+
+    def __init__(self, **fields):
+        for name in self.__slots__:
+            setattr(self, name, fields.pop(name))
+        if fields:
+            raise TypeError(f"unexpected CensusReport fields {sorted(fields)}")
 
     @property
     def all_ok(self) -> bool:
@@ -483,7 +483,7 @@ class CensusReport:
         )
 
     def to_json(self, list_forms: bool = False) -> dict:
-        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name not in ("fiber_sizes", "classes")}
+        out = {name: getattr(self, name) for name in self.__slots__ if name not in ("fiber_sizes", "classes")}
         out["all_ok"] = self.all_ok
         if list_forms:
             out["normal_forms"] = [c.to_json() for c in self.classes]

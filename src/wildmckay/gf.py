@@ -17,7 +17,7 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from typing import Iterator
+from collections.abc import Iterator
 
 
 class InternalMismatch(AssertionError):

@@ -16,9 +16,17 @@ from __future__ import annotations
 
 import math
 from operator import add
-from dataclasses import dataclass
 
 from .gf import PreconditionError, binary_power, is_prime, require_prime
+
+# Work guard of verify_dim3_relation: its work grows about as p^4, from
+# 0.06 s at p = 31 to 3 s at p = 101 and 8 s at p = 127 (in-process, on a
+# shared 2-vCPU machine), so larger p exits 2 instead of running for minutes.
+MAX_V3_PRIME = 101
+
+
+class RelationTooLarge(PreconditionError):
+    """p exceeds MAX_V3_PRIME, the work guard of verify_dim3_relation."""
 
 
 class MultiPoly:
@@ -201,13 +209,15 @@ class MultiPoly:
         return f"MultiPoly(F{self.p}[{','.join(self.vars)}]: {self})"
 
 
-@dataclass
 class GroupAction:
     """An order-p substitution action given by linear images of variables."""
 
-    p: int
-    vars: tuple[str, ...]
-    images: dict[str, MultiPoly]
+    __slots__ = ("p", "vars", "images")
+
+    def __init__(self, p: int, vars: tuple[str, ...], images: dict[str, MultiPoly]):
+        self.p = p
+        self.vars = vars
+        self.images = images
 
     def apply(self, f: MultiPoly, k: int = 1) -> MultiPoly:
         """sigma^k applied to f by iterated substitution, 0 <= k < p."""
@@ -294,9 +304,13 @@ def dim3_quadratic_invariant(p: int) -> MultiPoly:
 
 def verify_dim3_relation(p: int) -> dict:
     """Substitute the invariant generators x, N_y, N_z and the quadratic
-    invariant into the hypersurface equation; test that it vanishes."""
+    invariant into the hypersurface equation; test that it vanishes.
+    p above MAX_V3_PRIME raises RelationTooLarge."""
     if p < 3 or not is_prime(p):
         raise PreconditionError("an odd prime is required")
+    if p > MAX_V3_PRIME:
+        raise RelationTooLarge(f"p = {p} is above the work guard of {MAX_V3_PRIME} for the v3 relation, "
+                               f"whose work grows as p^4")
     act, x, y, z = dim3_action(p)
     n_y = act.norm(y)
     n_z = act.norm(z)

@@ -23,11 +23,10 @@ from __future__ import annotations
 import heapq
 import math
 from fractions import Fraction
-from typing import Union
 
 from .gf import InternalMismatch, binary_power, require_prime_power
 
-Rat = Union[int, Fraction]
+Rat = int | Fraction
 
 
 class DivergentSeries(ArithmeticError):

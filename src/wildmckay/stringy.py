@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .covers import MAX_COUNT_BITS, InvalidJump
@@ -69,10 +68,12 @@ def _require_degree(degree: Rat) -> None:
                              f"above the output guard of {MAX_DEGREE}")
 
 
-@dataclass(frozen=True)
 class RepType:
-    """A non-trivial representation type of the cyclic p-group."""
+    """A non-trivial representation type of the cyclic p-group: an
+    immutable value, equal to and hashed like any RepType with the same
+    p and dims."""
 
+    __slots__ = ("p", "dims")
     p: int
     dims: tuple[int, ...]
 
@@ -87,6 +88,23 @@ class RepType:
             raise PreconditionError("trivial representation (all summands 1-dimensional)")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "dims", dims)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"RepType is immutable: cannot assign {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"RepType is immutable: cannot delete {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.p, self.dims) == (other.p, other.dims)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.p, self.dims))
+
+    def __repr__(self):
+        return f"RepType(p={self.p!r}, dims={self.dims!r})"
 
     @property
     def dim(self) -> int:
@@ -118,14 +136,16 @@ def shift_number(rep: RepType, j: int) -> int:
     return sum(i * j // rep.p for d in rep.dims for i in range(1, d))
 
 
-@dataclass(frozen=True)
 class QuasiLinearExponent:
     """A function on admissible jumps with F(0) = base and
     F(np + s) = slope * n + residues[s - 1]."""
 
-    base: int
-    slope: int
-    residues: tuple[int, ...]
+    __slots__ = ("base", "slope", "residues")
+
+    def __init__(self, *, base: int, slope: int, residues: tuple[int, ...]):
+        self.base = base
+        self.slope = slope
+        self.residues = residues
 
     @property
     def p(self) -> int:

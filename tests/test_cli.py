@@ -5,6 +5,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 import time
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wildmckay import stringy
+from wildmckay import invariant_rings, stringy
 from wildmckay.cli import COMMANDS, REQUIRED, build_parser, main, parse, schema_path
 
 SCHEMA = json.loads(open(schema_path()).read())
@@ -109,6 +110,9 @@ class TestCoversCommands:
         assert code == 0
         assert data["class_count"] == data["expected_class_count"] == 4
         assert data["all_ok"] is True
+        assert list(data) == ["p", "q", "max_exp", "total_inputs", "class_count", "expected_class_count",
+                              "jump_histogram", "expected_fiber_size", "fibers_uniform", "witnesses_ok",
+                              "all_ok"]
 
     def test_census_guard(self, capsys):
         code, _ = run(capsys, "covers", "census", "--p", "2", "--q", "2", "--max-exp", "10",
@@ -194,10 +198,11 @@ class TestExitCodes:
     def test_precondition_classes(self):
         from wildmckay.covers import CountTooLarge, EnumerationTooLarge, InvalidJump
         from wildmckay.gf import PreconditionError, PrimalityUnproven
+        from wildmckay.invariant_rings import RelationTooLarge
         from wildmckay.stringy import BaseFieldMismatch, DegreeTooLarge, NotKLT, NotStringilyKLT, PointCountTooLarge
 
         for exc in (PrimalityUnproven, InvalidJump, EnumerationTooLarge, CountTooLarge, BaseFieldMismatch,
-                    DegreeTooLarge, PointCountTooLarge):
+                    DegreeTooLarge, PointCountTooLarge, RelationTooLarge):
             assert issubclass(exc, PreconditionError)
         for exc in (NotStringilyKLT, NotKLT):
             assert issubclass(exc, PreconditionError) and issubclass(exc, ArithmeticError)
@@ -233,6 +238,17 @@ class TestOutputContracts:
         code = "import sys, wildmckay.cli; print('wildmckay.invariant_rings' in sys.modules)"
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True).stdout
         assert out.strip() == "False"
+
+    def test_startup_imports_no_heavy_stdlib_modules(self):
+        # -S keeps site's own imports out of the set, and -B writes no
+        # __pycache__ into the checkout (-E would drop PYTHONDONTWRITEBYTECODE)
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        code = (f"import sys; sys.path.insert(0, {src!r}); import wildmckay.cli; "
+                "wildmckay.cli.build_parser(); "
+                "print(sorted({'dataclasses', 'inspect', 'typing', 'importlib.resources'} & set(sys.modules)))")
+        out = subprocess.run([sys.executable, "-S", "-B", "-c", code],
+                             capture_output=True, text=True, check=True).stdout
+        assert out.strip() == "[]"
 
 
 class TestGoldenOutputs:
@@ -375,6 +391,14 @@ class TestHugeIntegers:
         assert time.perf_counter() - start < 1.0
         assert code == 2
         assert "above the output guard of 1048576" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("p", ["211", "1009"])
+    def test_v3_beyond_the_work_guard_exits_2_quickly(self, capsys, p):
+        start = time.perf_counter()
+        code = main(["verify", "v3", "--p", p])
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert f"above the work guard of {invariant_rings.MAX_V3_PRIME}" in capsys.readouterr().err
 
     def test_pointcount_below_the_output_guard_is_exact(self, capsys):
         code, out = run(capsys, "stringy", "pointcount", "--p", "151", "--dims", "151,151", "--q", "151")

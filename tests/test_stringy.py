@@ -52,6 +52,20 @@ class TestRepType:
         with pytest.raises(ValueError):
             RepType(3, [1, 1])  # trivial
 
+    def test_value_semantics(self):
+        a, b = RepType(5, [5, 2]), RepType(5, (5, 2))
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != RepType(5, [2, 5]) and a != RepType(7, [5, 2])
+        assert a != (5, (5, 2)) and a.__eq__((5, (5, 2))) is NotImplemented
+        assert repr(a) == "RepType(p=5, dims=(5, 2))"
+        with pytest.raises(AttributeError):
+            a.p = 7
+        with pytest.raises(AttributeError):
+            a.extra = 1
+        with pytest.raises(AttributeError):
+            del a.dims
+        assert a == b
+
     def test_reflection_detection(self):
         assert RepType(2, [2]).has_reflection
         assert RepType(5, [2, 1, 1]).has_reflection
