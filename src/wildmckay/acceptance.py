@@ -2,15 +2,15 @@
 
 Each criterion is a function returning a CriterionResult; all expected
 values are either exact closed forms re-derived here independently or
-frozen constants.  The second routes of stringy's closed forms (the
-projectivization through its definition, the stack pair's sector sum)
-live here, so production calls compute each quantity once.  Randomized
-portions draw from random.Random(seed), and the verdicts are properties of
-the code, not of the seed.
+frozen constants.  The second routes of stringy's closed forms live in
+oracles.py, which only the battery imports, so production calls compute
+each quantity once.  Randomized portions draw from random.Random(seed),
+and the verdicts are properties of the code, not of the seed.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 import time
 from fractions import Fraction
@@ -19,6 +19,8 @@ from . import covers, stringy
 from .gf import GF
 from .laurent import LaurentSeries
 from .motivic import L, MotivicValue, geometric_sum
+from .oracles import _fiber_class_via_strata, _fiber_count_via_census, _lp, _projectivized_via_definition
+from .oracles import _stack_pair_via_sectors, _stringy_from_resolution
 
 
 class CriterionResult:
@@ -59,10 +61,6 @@ class _Tally:
         self.checks += 1
         if got != want:
             self.failures.append(f"{label}: got {got}, want {want}")
-
-
-def _lp(e) -> MotivicValue:
-    return MotivicValue.l_power(e)
 
 
 def _klt_grid(primes, max_len):
@@ -112,18 +110,6 @@ def crit_euler_identity(rng) -> _Tally:
     return t
 
 
-def _projectivized_via_definition(rep) -> MotivicValue:
-    """The projectivized invariant from its definition through the stringy
-    invariant M_st: with cone = L^d - L^l, it is
-
-        cone / (L - 1) + (M_st - cone)(L^l - 1) / (L^l (L - 1)).
-    """
-    d, l = rep.dim, rep.summands
-    m = stringy.stringy_invariant(rep)
-    cone = _lp(d) - _lp(l)
-    return cone / (L - 1) + (m - cone) * (_lp(l) - 1) / (_lp(l) * (L - 1))
-
-
 def crit_duality(rng) -> _Tally:
     """Poincare duality of the projectivized invariant, plus the agreement
     of its closed form with the route through its definition."""
@@ -134,17 +120,32 @@ def crit_duality(rng) -> _Tally:
     return t
 
 
+CENSUS_CASES = ((2, 2, 8), (2, 4, 4), (3, 3, 5))
+
+
+@functools.cache
+def _census(q: int, max_exp: int) -> covers.CensusReport:
+    """The census at (q, max_exp), enumerated once for the three criteria
+    that read it: point-count, cover-census and jump-oracle, in that order."""
+    return covers.enumerate_covers(q, max_exp)
+
+
 def crit_point_count(rng) -> _Tally:
     """Weighted extension counts against point counts of the stratum
-    integral, which must also equal the closed-form fiber class."""
+    integral, which must also equal the closed-form fiber class, and, for
+    each q the battery has a census over, against the count read off it."""
     t = _Tally()
+    reports = {q: _census(q, max_exp) for _, q, max_exp in CENSUS_CASES}
     for rep in _klt_grid((2, 3), 3):
-        integral = stringy.integrate_over_covers(rep.p, stringy.negative_shift_exponent(rep))
+        integral = _fiber_class_via_strata(rep)
         closed = stringy.origin_fiber_class(rep)
         for e in (1, 2, 3):
             q = rep.p ** e
             direct = stringy.origin_fiber_point_count(rep, q)
-            t.equal((direct, closed), (integral.point_count(q), integral), f"point count {rep} q={q}")
+            got, want = (direct, closed), (integral.point_count(q), integral)
+            if q in reports:
+                got, want = got + (direct,), want + (_fiber_count_via_census(rep, reports[q]),)
+            t.equal(got, want, f"point count {rep} q={q}")
     for e in (1, 2, 3):
         q = 2 ** e
         t.equal(
@@ -155,14 +156,11 @@ def crit_point_count(rng) -> _Tally:
     return t
 
 
-CENSUS_CASES = ((2, 2, 8), (2, 4, 4), (3, 3, 5))
-
-
 def crit_census(rng) -> _Tally:
     """Brute-force reduction census against the stratum formulas."""
     t = _Tally()
     for p, q, max_exp in CENSUS_CASES:
-        rep_report = covers.enumerate_covers(q, max_exp)
+        rep_report = _census(q, max_exp)
         t.equal(rep_report.class_count, q ** (max_exp - max_exp // p), f"class count q={q} J={max_exp}")
         t.check(rep_report.fibers_uniform, f"uniform fibers q={q} J={max_exp}")
         t.check(rep_report.witnesses_ok, f"witness soundness q={q} J={max_exp}")
@@ -175,11 +173,13 @@ def crit_jump_oracle(rng) -> _Tally:
     """Uniformizer-based valuation oracle on every ramified census class."""
     t = _Tally()
     for p, q, max_exp in CENSUS_CASES:
-        report = covers.enumerate_covers(q, max_exp)
+        report = _census(q, max_exp)
         for cls in report.classes:
             if cls.jump == 0:
                 continue
             t.check(covers.verify_jump(cls), f"verify_jump q={q} {cls!r}")
+    # the census's last reader in CRITERIA: the criteria after it run without it
+    _census.cache_clear()
     return t
 
 
@@ -203,30 +203,19 @@ def crit_invariant_rings(rng) -> _Tally:
     return t
 
 
-def _stack_pair_via_sectors(p: int, a: Fraction) -> MotivicValue:
-    """The stack pair invariant as its sector decomposition: the untwisted
-    sector (L^2 - L)/(1 - L^(a-1)) plus the twisted double sum, which
-    collapses to (L-1) L (S(a+p-2) - S(a-1)) with S(e) = L^e/(1 - L^e)."""
-
-    def tail_sum(e: Fraction) -> MotivicValue:
-        # sum_{n>=1} L^(e n) = L^e / (1 - L^e)
-        return geometric_sum(MotivicValue.one(), e) - MotivicValue.one()
-
-    untwisted = (L * L - L) / (MotivicValue.one() - _lp(a - 1))
-    twisted = (L - 1) * L * (tail_sum(a + p - 2) - tail_sum(a - 1))
-    return untwisted + twisted
-
-
 def crit_reflection_pair(rng) -> _Tally:
     """Smooth-model vs stack-model pair invariants, plus the agreement of
-    the stack's closed form with its sector sum."""
+    the stack's closed form with its sector sum and of the smooth pair's
+    with the resolution sum over its snc data: the plane off the line, and
+    the line with discrepancy -a."""
     t = _Tally()
-    for p in (2, 3, 5):
-        for a in (Fraction(-2), Fraction(-1), Fraction(-1, 2), Fraction(0), Fraction(1, 2)):
-            smooth = stringy.smooth_pair_invariant(2, a)
+    for a in (Fraction(-2), Fraction(-1), Fraction(-1, 2), Fraction(0), Fraction(1, 2)):
+        smooth = stringy.smooth_pair_invariant(2, a)
+        resolved = _stringy_from_resolution([(_lp(2) - L, []), (L, [-a])])
+        for p in (2, 3, 5):
             stack = stringy.stack_pair_invariant(p, a + 1 - p)
             sectors = _stack_pair_via_sectors(p, a + 1 - p)
-            t.equal((stack, sectors), (smooth, smooth), f"pair identity p={p} a={a}")
+            t.equal((stack, sectors, resolved), (smooth, smooth, smooth), f"pair identity p={p} a={a}")
     return t
 
 
@@ -247,11 +236,11 @@ def crit_property_suites(rng) -> _Tally:
                     stringy.shift_number(rep, n * p + s) == D * n + stringy.shift_number(rep, s),
                     f"sht decomposition {rep} n={n} s={s}",
                 )
-    # stratum-sum consistency of the closed form
+    # stratum-sum consistency of the closed form: L^d + L^l (integral - 1)
     for rep in _klt_grid((2, 3, 5), 2):
         t.equal(
             stringy.stringy_invariant(rep),
-            stringy.stringy_invariant_via_strata(rep),
+            _lp(rep.dim) + _lp(rep.summands) * (_fiber_class_via_strata(rep) - 1),
             f"stratum-sum consistency {rep}",
         )
     # geometric series: (1 - L^e) * sum = c

@@ -122,9 +122,6 @@ class ASCoverClass:
         order of the representative polynomial, 0 for unramified covers."""
         return self.rep.jump
 
-    def is_trivial(self) -> bool:
-        return self.rep.is_zero() and self.const_class == 0
-
     def lift(self, prec=INF) -> LaurentSeries:
         """A Laurent series in the class: rep plus the first constant, in
         encoding order, whose trace (the map F.codes[4]) is const_class.

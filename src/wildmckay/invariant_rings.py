@@ -227,16 +227,6 @@ class GroupAction:
             f = f.substitute(self.images)
         return f
 
-    def has_order_p(self) -> bool:
-        gens = MultiPoly.gens(self.p, self.vars)
-        for g in gens:
-            h = g
-            for _ in range(self.p):
-                h = h.substitute(self.images)
-            if h != g:
-                return False
-        return True
-
     def norm(self, f: MultiPoly) -> MultiPoly:
         """prod_{k=0}^{p-1} sigma^k(f); always invariant."""
         result = MultiPoly.constant(self.p, self.vars, 1)

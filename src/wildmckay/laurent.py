@@ -124,11 +124,6 @@ class LaurentSeries:
 
     __rmul__ = __mul__
 
-    def shift(self, n: int) -> "LaurentSeries":
-        """Multiply by t^n."""
-        prec = self.prec if self.prec == INF else self.prec + n
-        return LaurentSeries._from_codes(self.field, {e + n: c for e, c in self.coeffs.items()}, prec)
-
     def truncate(self, prec) -> "LaurentSeries":
         """Forget coefficients above prec (lowers precision only)."""
         if prec >= self.prec:
@@ -142,9 +137,6 @@ class LaurentSeries:
         if self.prec < 0:
             raise InsufficientPrecision(f"constant term unknown: precision {self.prec} < 0")
         return {e: c for e, c in self.coeffs.items() if e <= 0}
-
-    def constant_term(self) -> GFElement:
-        return self.coefficient(0)
 
     def __eq__(self, other):
         return (

@@ -139,10 +139,6 @@ class MotivicValue:
         return cls.from_terms({0: 1})
 
     @classmethod
-    def lefschetz(cls):
-        return cls.from_terms({1: 1})
-
-    @classmethod
     def from_rational(cls, a: Rat):
         a = Fraction(a)
         return cls.from_terms({0: a.numerator}, {0: a.denominator})
@@ -301,13 +297,6 @@ class MotivicValue:
             "den": [[k, c] for k, c in sorted(self.den.terms.items())],
         }
 
-    @classmethod
-    def from_json(cls, data: dict) -> "MotivicValue":
-        scale = int(data["scale"])
-        num = {int(k): int(c) for k, c in data["num"]}
-        den = {int(k): int(c) for k, c in data["den"]}
-        return cls.from_terms(num, den, scale)
-
     # -- display --
 
     def _poly_str(self, poly: LefschetzPoly) -> str:
@@ -428,10 +417,7 @@ def _canonicalize(num: dict[int, int], den: dict[int, int], scale: int):
     return num, den, scale
 
 
-# convenient constants
-L = MotivicValue.lefschetz()
-ONE = MotivicValue.one()
-ZERO = MotivicValue.zero()
+L = MotivicValue.l_power(1)
 
 
 def geometric_sum(c: MotivicValue, e: Rat) -> MotivicValue:

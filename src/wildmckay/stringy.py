@@ -18,10 +18,11 @@ and M_st, the origin-fiber class and the projectivized invariant are each
 head + coeff * T for Laurent polynomials head and coeff, built in one
 place, _twisted_sum, as one fraction over 1 - L^(p-1-D) that is reduced
 to lowest terms once.  Everything here returns canonical MotivicValue's or
-exact rationals and computes each quantity by one route; the independent
-routes (the stratum integral, the projectivization from its definition,
-the sector sum of the stack pair) are cross-checked in the verification
-battery (acceptance.py).
+exact rationals and computes each quantity by one route.  The independent
+routes live in oracles.py, which only the verification battery
+(acceptance.py) imports: the stratum integral, the weighted count read off
+the cover census, the projectivization from its definition, the sector
+sum of the stack pair and the snc-resolution sum of the smooth pair.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from fractions import Fraction
 
 from .covers import MAX_COUNT_BITS, InvalidJump
 from .gf import PreconditionError, prime_power_decomposition, require_prime
-from .motivic import L, DivergentSeries, MotivicValue, Rat, _add_terms, _mul_terms
+from .motivic import L, MotivicValue, Rat, _add_terms, _mul_terms
 
 
 class NotStringilyKLT(ArithmeticError, PreconditionError):
@@ -114,12 +115,6 @@ class RepType:
     def summands(self) -> int:
         return len(self.dims)
 
-    @property
-    def has_reflection(self) -> bool:
-        """True iff exactly one summand is 2-dimensional and the rest are
-        lines (the fixed locus then has codimension one)."""
-        return sorted(self.dims, reverse=True) == [2] + [1] * (self.summands - 1)
-
 
 def shift_slope(rep: RepType) -> int:
     """sum (d-1)d/2 over summands: the per-period growth of the shift
@@ -134,69 +129,6 @@ def shift_number(rep: RepType, j: int) -> int:
     if j < 0 or j % rep.p == 0:
         raise InvalidJump(f"jump {j} must be 0 or positive and coprime to {rep.p}")
     return sum(i * j // rep.p for d in rep.dims for i in range(1, d))
-
-
-class QuasiLinearExponent:
-    """A function on admissible jumps with F(0) = base and
-    F(np + s) = slope * n + residues[s - 1]."""
-
-    __slots__ = ("base", "slope", "residues")
-
-    def __init__(self, *, base: int, slope: int, residues: tuple[int, ...]):
-        self.base = base
-        self.slope = slope
-        self.residues = residues
-
-    @property
-    def p(self) -> int:
-        return len(self.residues) + 1
-
-    def __call__(self, j: int) -> int:
-        if j == 0:
-            return self.base
-        n, s = divmod(j, self.p)
-        if s == 0:
-            raise InvalidJump(f"jump {j} divisible by {self.p}")
-        return self.slope * n + self.residues[s - 1]
-
-
-def negative_shift_exponent(rep: RepType) -> QuasiLinearExponent:
-    """The exponent -sht as a quasi-linear function of the jump."""
-    return QuasiLinearExponent(
-        base=0,
-        slope=-shift_slope(rep),
-        residues=tuple(-shift_number(rep, s) for s in range(1, rep.p)),
-    )
-
-
-def stratum_measure(rep: RepType, j: int) -> MotivicValue:
-    """Measure of the twisted arcs over the origin with ramification jump j:
-    L^d for the untwisted stratum, (L-1) * L^(l+j-1-floor(j/p)) otherwise."""
-    if j == 0:
-        return MotivicValue.l_power(rep.dim)
-    if j < 0 or j % rep.p == 0:
-        raise InvalidJump(f"jump {j} must be 0 or positive and coprime to {rep.p}")
-    e = rep.summands + j - 1 - j // rep.p
-    return (L - 1) * MotivicValue.l_power(e)
-
-
-def integrate_over_covers(p: int, F: QuasiLinearExponent) -> MotivicValue:
-    """Integral of L^F against the cover-moduli measure: the j = 0 point
-    contributes L^F(0), each residue s a geometric series
-
-        (L-1) L^(s-1+F(s)) * sum_{n>=0} L^((p-1+slope) n),
-
-    convergent iff slope + p - 1 < 0.  All p - 1 series share that ratio,
-    so their numerators are summed over one 1 - L^(p-1+slope)."""
-    if F.p != p:
-        raise ValueError("exponent and prime disagree")
-    ratio = p - 1 + F.slope
-    if ratio >= 0:
-        raise DivergentSeries(f"geometric series with exponent {ratio} >= 0 diverges")
-    den = {0: 1, ratio: -1}
-    lows = Counter(s - 1 + F.residues[s - 1] for s in range(1, p))
-    num = _add_terms(_mul_terms({F.base: 1}, den), _mul_terms({1: 1, 0: -1}, lows))
-    return MotivicValue.from_terms(num, den)
 
 
 def _require_stringily_klt(rep: RepType) -> None:
@@ -237,16 +169,6 @@ def stringy_invariant(rep: RepType) -> MotivicValue:
     """
     l = rep.summands
     return _twisted_sum(rep, {rep.dim: 1}, {l: 1, l - 1: -1})
-
-
-def stringy_invariant_via_strata(rep: RepType) -> MotivicValue:
-    """The same invariant as the weighted stratum sum
-    L^d + L^l * (integral of L^(-sht) minus its untwisted term)."""
-    _require_stringily_klt(rep)
-    integral = integrate_over_covers(rep.p, negative_shift_exponent(rep))
-    return MotivicValue.l_power(rep.dim) + MotivicValue.l_power(rep.summands) * (
-        integral - MotivicValue.one()
-    )
 
 
 def stringy_euler(rep: RepType) -> Fraction:
@@ -341,25 +263,6 @@ def poincare_duality_holds(rep: RepType) -> bool:
     """Check M(L^(-1)) * L^(d-1) = M(L) for the projectivized invariant."""
     w = projectivized_invariant(rep)
     return w.dual(rep.dim) == w
-
-
-def stringy_from_resolution(strata) -> MotivicValue:
-    """Stringy invariant from simple-normal-crossing resolution data: a list
-    of (stratum class, discrepancy coefficients) pairs, summed as
-
-        sum [E_I] * prod_i (L-1)/(L^(1+a_i) - 1),
-
-    each a_i > -1 (log terminal)."""
-    total = MotivicValue.zero()
-    for stratum_class, coeffs in strata:
-        term = stratum_class
-        for a in coeffs:
-            a = Fraction(a)
-            if a <= -1:
-                raise NotKLT(f"discrepancy coefficient {a} <= -1")
-            term = term * (L - 1) / (MotivicValue.l_power(1 + a) - MotivicValue.one())
-        total = total + term
-    return total
 
 
 def rep_types_iter(p: int, max_len: int):

@@ -45,7 +45,13 @@ def test_verdicts_are_seed_independent():
 
 @pytest.mark.parametrize(
     "name,helper",
-    [("poincare-duality", "_projectivized_via_definition"), ("reflection-pair", "_stack_pair_via_sectors")],
+    [
+        ("poincare-duality", "_projectivized_via_definition"),
+        ("point-count", "_fiber_class_via_strata"),
+        ("point-count", "_fiber_count_via_census"),
+        ("reflection-pair", "_stack_pair_via_sectors"),
+        ("reflection-pair", "_stringy_from_resolution"),
+    ],
 )
 def test_wrong_second_route_fails_the_criterion(monkeypatch, name, helper):
     checks = run_criterion(name).checks

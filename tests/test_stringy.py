@@ -1,4 +1,5 @@
-"""Stringy invariants: shift numbers, integrals, closed forms, duality."""
+"""Stringy invariants: shift numbers, integrals, closed forms, duality,
+and the battery's second routes to them."""
 
 import random
 import time
@@ -6,7 +7,12 @@ from fractions import Fraction
 
 import pytest
 
-from wildmckay.acceptance import _projectivized_via_definition, _stack_pair_via_sectors
+from wildmckay.oracles import (
+    _fiber_class_via_strata,
+    _projectivized_via_definition,
+    _stack_pair_via_sectors,
+    _stringy_from_resolution,
+)
 from wildmckay.motivic import L, MotivicValue, DivergentSeries
 from wildmckay.stringy import (
     MAX_DEGREE,
@@ -15,11 +21,8 @@ from wildmckay.stringy import (
     InvalidJump,
     NotKLT,
     NotStringilyKLT,
-    QuasiLinearExponent,
     RepType,
     crepant_diagnostic,
-    integrate_over_covers,
-    negative_shift_exponent,
     origin_fiber_class,
     origin_fiber_point_count,
     poincare_duality_holds,
@@ -29,11 +32,8 @@ from wildmckay.stringy import (
     shift_slope,
     smooth_pair_invariant,
     stack_pair_invariant,
-    stratum_measure,
     stringy_euler,
-    stringy_from_resolution,
     stringy_invariant,
-    stringy_invariant_via_strata,
 )
 
 ONE = MotivicValue.one()
@@ -65,12 +65,6 @@ class TestRepType:
         with pytest.raises(AttributeError):
             del a.dims
         assert a == b
-
-    def test_reflection_detection(self):
-        assert RepType(2, [2]).has_reflection
-        assert RepType(5, [2, 1, 1]).has_reflection
-        assert not RepType(2, [2, 2]).has_reflection
-        assert not RepType(3, [3]).has_reflection
 
     def test_derived_quantities(self):
         rep = RepType(5, [5, 2])
@@ -124,27 +118,19 @@ class TestShiftNumber:
                 assert shift_number(rep, s) <= s
 
 
-class TestStratumMeasure:
-    def test_untwisted(self):
-        assert stratum_measure(RepType(2, [2, 2]), 0) == lp(4)
-
-    def test_twisted(self):
-        assert stratum_measure(RepType(2, [2, 2]), 1) == (L - 1) * lp(2)
-        assert stratum_measure(RepType(3, [3]), 4) == (L - 1) * lp(3)
-
-    def test_invalid(self):
-        with pytest.raises(InvalidJump):
-            stratum_measure(RepType(3, [3]), 6)
+def via_strata(rep):
+    """M_st from the stratum integral: L^d + L^l (integral - 1)."""
+    return lp(rep.dim) + lp(rep.summands) * (_fiber_class_via_strata(rep) - 1)
 
 
 class TestIntegrateOverCovers:
     def test_reflection_free_examples(self):
-        assert integrate_over_covers(2, negative_shift_exponent(RepType(2, [2, 2]))) == ONE + L
-        assert integrate_over_covers(3, negative_shift_exponent(RepType(3, [3]))) == ONE + 2 * L
+        assert _fiber_class_via_strata(RepType(2, [2, 2])) == ONE + L
+        assert _fiber_class_via_strata(RepType(3, [3])) == ONE + 2 * L
 
     def test_divergent(self):
         with pytest.raises(DivergentSeries):
-            integrate_over_covers(2, QuasiLinearExponent(base=0, slope=0, residues=(0,)))
+            _fiber_class_via_strata(RepType(3, [2, 2]))
 
 
 class TestStringyInvariant:
@@ -168,15 +154,15 @@ class TestStringyInvariant:
     def test_stratum_sum_consistency(self):
         for rep in rep_types_iter(3, 3):
             if shift_slope(rep) >= rep.p:
-                assert stringy_invariant(rep) == stringy_invariant_via_strata(rep)
+                assert stringy_invariant(rep) == via_strata(rep)
         for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
             rep = RepType(p, [p, p])
-            assert stringy_invariant(rep) == stringy_invariant_via_strata(rep)
+            assert stringy_invariant(rep) == via_strata(rep)
 
     def test_stratum_sum_at_p_31_is_fast(self):
         rep = RepType(31, [31, 31])
         start = time.perf_counter()
-        stringy_invariant_via_strata(rep)
+        via_strata(rep)
         assert time.perf_counter() - start < 1.0
 
     def test_output_guard(self):
@@ -253,7 +239,7 @@ class TestOriginFiber:
         for p in (2, 3, 5):
             for rep in rep_types_iter(p, 3):
                 if shift_slope(rep) >= p:
-                    assert origin_fiber_class(rep) == integrate_over_covers(p, negative_shift_exponent(rep))
+                    assert origin_fiber_class(rep) == _fiber_class_via_strata(rep)
 
     def test_base_mismatch(self):
         with pytest.raises(BaseFieldMismatch):
@@ -311,7 +297,7 @@ class TestProjectivization:
 class TestResolutionData:
     def test_single_stratum(self):
         cls = lp(3) + 2 * lp(2)
-        assert stringy_from_resolution([(cls, [])]) == cls
+        assert _stringy_from_resolution([(cls, [])]) == cls
 
     def test_crepant_strata_sum_to_resolution_class(self):
         # two surfaces A^1 x P^1 meeting along A^1 inside a 3-fold Y:
@@ -325,13 +311,20 @@ class TestResolutionData:
             (e1 - e12, [Fraction(0)]),
             (e12, [Fraction(0), Fraction(0)]),
         ]
-        assert stringy_from_resolution(strata) == stringy_invariant(RepType(3, [3]))
+        assert _stringy_from_resolution(strata) == stringy_invariant(RepType(3, [3]))
 
     def test_fractional_coefficient(self):
-        got = stringy_from_resolution([(L, [Fraction(-1, 2)])])
+        got = _stringy_from_resolution([(L, [Fraction(-1, 2)])])
         assert got == L * (L - 1) / (lp(Fraction(1, 2)) - 1)
         assert got.scale == 2
 
     def test_not_klt(self):
         with pytest.raises(NotKLT):
-            stringy_from_resolution([(L, [-1])])
+            _stringy_from_resolution([(L, [-1])])
+
+    def test_smooth_pair_from_its_snc_data(self):
+        # A^d off the hyperplane, and the hyperplane with discrepancy -a
+        for d in range(1, 5):
+            for a in (-2, -1, Fraction(-1, 2), 0, Fraction(1, 2), Fraction(-7, 3)):
+                strata = [(lp(d) - lp(d - 1), []), (lp(d - 1), [-Fraction(a)])]
+                assert _stringy_from_resolution(strata) == smooth_pair_invariant(d, a)
