@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from . import covers, stringy
 from .gf import GF
-from .laurent import LaurentSeries
+from .laurent import LaurentSeries, artin_schreier
 from .motivic import L, MotivicValue, geometric_sum
 from .oracles import _fiber_class_via_strata, _fiber_count_via_census, _lp, _projectivized_via_definition
 from .oracles import _stack_pair_via_sectors, _stringy_from_resolution
@@ -170,14 +170,17 @@ def crit_census(rng) -> _Tally:
 
 
 def crit_jump_oracle(rng) -> _Tally:
-    """Uniformizer-based valuation oracle on every ramified census class."""
+    """Uniformizer-based valuation oracle on every ramified census class,
+    fed the class's lift plus w(t^-j): its reduction must cancel a t^(-pj)
+    pole, so a wrong witness or jump shows in the norms."""
     t = _Tally()
     for p, q, max_exp in CENSUS_CASES:
         report = _census(q, max_exp)
         for cls in report.classes:
             if cls.jump == 0:
                 continue
-            t.check(covers.verify_jump(cls), f"verify_jump q={q} {cls!r}")
+            f = cls.lift() + artin_schreier(LaurentSeries(cls.field, {-cls.jump: 1}))
+            t.check(covers.verify_jump(f), f"verify_jump q={q} {cls!r}")
     # the census's last reader in CRITERIA: the criteria after it run without it
     _census.cache_clear()
     return t

@@ -9,9 +9,10 @@ plus an unramified constant class in F_p realized here through the
 absolute trace.
 
 The module provides the reduction with accumulated witnesses, the
-ramification jump and its independent uniformizer-based oracle computed in
-the cover's coordinate ring F_q((t))[g]/(g^p - g + f), stratum counting
-formulas, and a brute-force census engine that cross-checks them.
+ramification jump, stratum counting formulas, a brute-force census engine
+that cross-checks them, and an independent jump oracle: for a Laurent
+polynomial f it computes in F_q((t))[g]/(g^p - g + f) exactly and reads
+every valuation off a norm, v(x) = ord_t N(x).
 """
 
 from __future__ import annotations
@@ -20,16 +21,12 @@ import itertools
 import math
 from collections import Counter
 
-from .gf import GF, GaloisField, InternalMismatch, PreconditionError, binary_power, require_prime_power
-from .laurent import INF, InsufficientPrecision, LaurentSeries
+from .gf import GF, GaloisField, InternalMismatch, PreconditionError, require_prime_power
+from .laurent import INF, LaurentSeries
 
 
 class InvalidJump(PreconditionError):
     """Positive ramification jumps must be coprime to p."""
-
-
-class ZeroOrBelowPrecision(ArithmeticError):
-    """No nonzero coefficient is visible at the tracked precision."""
 
 
 class EnumerationTooLarge(PreconditionError):
@@ -257,165 +254,70 @@ def uniformizer_params(p: int, j: int) -> tuple[int, int, int, int]:
     return q_, r_, l_, c_
 
 
-class CoverRing:
-    """Working model of F_q((t))[g]/(g^p - g + f) at a fixed precision.
-
-    Elements are stored on the basis 1, g, ..., g^(p-1) with truncated
-    Laurent series components.  Multiplication rewrites g^p -> g - f and the
-    group generator acts by g -> g + 1.  On this basis the valuation of a
-    monomial g^i t^n is np - i*j where j is the ramification jump; for
-    p not dividing j these are distinct mod p across i, which makes the
-    valuation of a general element the minimum over its components.
-    """
-
-    def __init__(self, cover: ASCoverClass, prec=None):
-        j = cover.jump
-        if j == 0:
-            raise InvalidJump("cover ring valuations need a ramified cover (jump > 0)")
-        self.cover = cover
-        self.field = cover.field
-        self.jump = j
-        self.prec = 2 * (j + 1) + 2 if prec is None else prec
-        self.f_lift = cover.lift(self.prec)
-
-    @property
-    def p(self) -> int:
-        return self.field.p
-
-    def zero(self) -> "CoverElement":
-        return CoverElement(self, (LaurentSeries.zero(self.field, self.prec),) * self.p)
-
-    def element(self, comps) -> "CoverElement":
-        comps = [c.truncate(self.prec) for c in comps]
-        if len(comps) != self.p:
-            raise ValueError(f"expected {self.p} basis components")
-        return CoverElement(self, tuple(comps))
-
-    def monomial(self, n: int, i: int, coeff=1) -> "CoverElement":
-        """The element coeff * t^n * g^i."""
-        if not 0 <= i < self.p:
-            raise ValueError("basis exponent out of range")
-        comps = list(self.zero().comps)
-        comps[i] = LaurentSeries(self.field, {n: coeff}, self.prec)
-        return CoverElement(self, tuple(comps))
-
-    def gen(self) -> "CoverElement":
-        return self.monomial(0, 1)
+# -- the jump oracle ----------------------------------------------------------
+#
+# For a Laurent polynomial f, an element of R = F_q((t))[g]/(g^p - g + f) is a
+# list of p exact series on the basis 1, g, ..., g^(p-1).  For ramified f, R is
+# a totally ramified degree-p extension L of F_q((t)), so v_L(x) = ord_t N(x).
 
 
-class CoverElement:
-    """Element sum_i a_i g^i of a CoverRing, a_i truncated Laurent series."""
-
-    __slots__ = ("ring", "comps")
-
-    def __init__(self, ring: CoverRing, comps: tuple[LaurentSeries, ...]):
-        self.ring = ring
-        self.comps = comps
-
-    def __add__(self, other):
-        self._check(other)
-        return CoverElement(self.ring, tuple(a + b for a, b in zip(self.comps, other.comps)))
-
-    def __sub__(self, other):
-        return self + -other
-
-    def __neg__(self):
-        return CoverElement(self.ring, tuple(-a for a in self.comps))
-
-    def __mul__(self, other):
-        self._check(other)
-        p = self.ring.p
-        f = self.ring.f_lift
-        prod = [LaurentSeries.zero(self.ring.field)] * (2 * p - 1)
-        for i, a in enumerate(self.comps):
-            if a.is_zero() and a.prec == INF:
-                continue
-            for k, b in enumerate(other.comps):
-                prod[i + k] = prod[i + k] + a * b
-        # rewrite g^(p+k) = g^(k+1) - f * g^k, from the top down
-        for k in range(2 * p - 2, p - 1, -1):
-            c = prod[k]
+def _ring_mul(a, b, f):
+    """a * b in R: rewrites g^(p+k) = g^(k+1) - f g^k from the top down."""
+    p = len(a)
+    prod = [LaurentSeries.zero(f.field)] * (2 * p - 1)
+    for i, x in enumerate(a):
+        if not x.is_zero():
+            for k, y in enumerate(b):
+                if not y.is_zero():
+                    prod[i + k] = prod[i + k] + x * y
+    for k in range(2 * p - 2, p - 1, -1):
+        if not (c := prod[k]).is_zero():
             prod[k - p + 1] = prod[k - p + 1] + c
             prod[k - p] = prod[k - p] - f * c
-        return self.ring.element(prod[:p])
+    return prod[:p]
 
-    def __pow__(self, n: int):
-        return binary_power(self, n, self.ring.monomial(0, 0))
 
-    def sigma(self) -> "CoverElement":
-        """The generator of the Galois action: g -> g + 1, re-expanded."""
-        p = self.ring.p
-        out = [LaurentSeries.zero(self.ring.field)] * p
-        for m, a in enumerate(self.comps):
-            if a.is_zero() and a.prec == INF:
-                continue
+def _sigma(a):
+    """The Galois generator g -> g + 1 applied to a, re-expanded."""
+    out = [LaurentSeries.zero(a[0].field)] * len(a)
+    for m, x in enumerate(a):
+        if not x.is_zero():
             for i in range(m + 1):
-                out[i] = out[i] + a * math.comb(m, i)
-        return self.ring.element(out)
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.comps)
-
-    def valuation(self) -> int:
-        """min_i (p * ord(a_i) - i * j), exact whenever the tracked terms
-        resolve it; raises if the answer could hide beyond the precision."""
-        p, j = self.ring.p, self.ring.jump
-        candidate = None
-        unknown_bound = math.inf
-        for i, a in enumerate(self.comps):
-            o = a.order()
-            if o is not None:
-                v = p * o - i * j
-                candidate = v if candidate is None else min(candidate, v)
-            if a.prec != INF:
-                unknown_bound = min(unknown_bound, p * (a.prec + 1) - i * j)
-        if candidate is None:
-            raise ZeroOrBelowPrecision(
-                "element is zero up to the tracked precision; valuation undetermined"
-            )
-        if candidate >= unknown_bound:
-            raise InsufficientPrecision(
-                f"valuation candidate {candidate} not resolved below precision bound {unknown_bound}"
-            )
-        return candidate
-
-    def __eq__(self, other):
-        """Componentwise agreement up to the common tracked precision."""
-        if not isinstance(other, CoverElement) or other.ring.cover != self.ring.cover:
-            return NotImplemented
-        for a, b in zip(self.comps, other.comps):
-            m = min(a.prec, b.prec)
-            if a.truncate(m).coeffs != b.truncate(m).coeffs:
-                return False
-        return True
-
-    def _check(self, other):
-        if not isinstance(other, CoverElement) or other.ring is not self.ring:
-            raise ValueError("cover elements must share their ring")
-
-    def __str__(self):
-        parts = [f"({c})*g^{i}" for i, c in enumerate(self.comps) if not c.is_zero()]
-        return " + ".join(parts) if parts else "0"
-
-    def __repr__(self):
-        return f"CoverElement({self})"
+                out[i] = out[i] + x * math.comb(m, i)
+    return out
 
 
-def verify_jump(cls: ASCoverClass, prec=None) -> bool:
-    """Independent ramification oracle: build the uniformizer
-    s = t^(l'q'-c') g^(l') in the cover ring and check
+def _norm_order(a, f) -> int:
+    """ord_t N(a), with N(a) = prod_{k<p} sigma^k(a) computed in R."""
+    norm = conj = a
+    for _ in range(len(a) - 1):
+        conj = _sigma(conj)
+        norm = _ring_mul(norm, conj, f)
+    if norm[0].is_zero() or not all(x.is_zero() for x in norm[1:]):
+        raise InternalMismatch(f"the norm of an element of the cover ring of {f} is 0 or not in F_q((t))")
+    return norm[0].order()
 
-        v(s) = 1   and   v(sigma(s) - s) = jump + 1,
 
-    the valuation-theoretic characterization of the jump.
+def verify_jump(f: LaurentSeries) -> bool:
+    """Independent ramification oracle on a Laurent polynomial f.
+
+    With the reduction's jump j and witnesses w, h = g + sum w solves
+    h^p - h = -(f - sum w(w)).  When the reduction is right, s = t^m h^(l')
+    with m = l'q' - c' (uniformizer_params) is a uniformizer of L, and
+    v(sigma(s) - s) = j + 1 (Serre, Local Fields, IV).  Checks both, with
+    v = ord_t N and N(s) = t^(pm) N(h)^(l').  An unramified f raises InvalidJump.
     """
-    j = cls.jump
-    if j == 0:
-        raise InvalidJump("unramified cover: no uniformizer construction applies")
-    q_, _r, l_, c_ = uniformizer_params(cls.field.p, j)
-    ring = CoverRing(cls, prec)
-    s = ring.monomial(l_ * q_ - c_, 0) * ring.gen() ** l_
-    return s.valuation() == 1 and (s.sigma() - s).valuation() == j + 1
+    if f.prec != INF:
+        raise PreconditionError(f"the jump oracle needs a Laurent polynomial, not a series known to t^{f.prec}")
+    cls, witnesses = reduce_with_witnesses(f)
+    p, j, zero = f.field.p, cls.jump, LaurentSeries.zero(f.field)
+    q_, _r, l_, c_ = uniformizer_params(p, j)
+    h = power = [sum(witnesses, zero), LaurentSeries._from_codes(f.field, {0: 1})] + [zero] * (p - 2)
+    for _ in range(l_ - 1):
+        power = _ring_mul(power, h, f)
+    pm = p * (l_ * q_ - c_)  # sigma(s) - s = t^m (sigma(h^l') - h^l')
+    delta = [x - y for x, y in zip(_sigma(power), power)]
+    return pm + l_ * _norm_order(h, f) == 1 and pm + _norm_order(delta, f) == j + 1
 
 
 # -- counting and enumeration ------------------------------------------------
@@ -499,7 +401,8 @@ def enumerate_covers(q: int, max_exp: int, guard: int = 10 ** 7) -> CensusReport
     p, e = require_prime_power(q)
     if max_exp < 0:
         raise PreconditionError(f"max_exp {max_exp} must be non-negative")
-    if q ** max_exp > guard:
+    # q >= 2, so max_exp >= guard.bit_length() already means q^max_exp > guard
+    if max_exp >= guard.bit_length() or q ** max_exp > guard:
         raise EnumerationTooLarge(f"{q}^{max_exp} exceeds the enumeration guard {guard}")
     F = GF(p, e)
     exponents = range(-1, -max_exp - 1, -1)

@@ -23,10 +23,18 @@ from .gf import PreconditionError, binary_power, is_prime, require_prime
 # 0.06 s at p = 31 to 3 s at p = 101 and 8 s at p = 127 (in-process, on a
 # shared 2-vCPU machine), so larger p exits 2 instead of running for minutes.
 MAX_V3_PRIME = 101
+# Work guards of reflection_jacobian_check: its work grows about as
+# p^2 (1 + d/11) + d^3.  At d = 2, p = 4099 takes 6 s; at p = 3, d = 300 takes
+# 1.3 s and d near 1000 recurses too deep; p = 2477 with d = 400 takes 72 s.
+# The largest accepted call, p = 997 with d = 100, takes 3.1 s, about as long
+# as verify_dim3_relation at p = 101 (2.2-2.8 s on the same machine).
+MAX_REFLECTION_PRIME = 1000
+MAX_REFLECTION_DIM = 100
 
 
 class RelationTooLarge(PreconditionError):
-    """p exceeds MAX_V3_PRIME, the work guard of verify_dim3_relation."""
+    """An input exceeds the work guard of its relation check: MAX_V3_PRIME,
+    MAX_REFLECTION_PRIME or MAX_REFLECTION_DIM."""
 
 
 class MultiPoly:
@@ -345,10 +353,15 @@ def verify_dim22_relation(gens: dict | None = None) -> dict:
 def reflection_jacobian_check(p: int, d: int) -> dict:
     """For the reflection action sigma(x) = x + y on k[x, y, z_1, ...]:
     check that x^p - x y^(p-1) is invariant and that the Jacobian
-    determinant of the invariant generators equals +-y^(p-1)."""
+    determinant of the invariant generators equals +-y^(p-1).  p above
+    MAX_REFLECTION_PRIME or d above MAX_REFLECTION_DIM raises
+    RelationTooLarge."""
     require_prime(p)
     if d < 2:
         raise PreconditionError("dimension must be at least 2")
+    if p > MAX_REFLECTION_PRIME or d > MAX_REFLECTION_DIM:
+        raise RelationTooLarge(f"p = {p}, d = {d} is above the work guard of p <= {MAX_REFLECTION_PRIME}, "
+                               f"d <= {MAX_REFLECTION_DIM} for the reflection check, whose work grows as p^2 d + d^3")
     names = ("x", "y") + tuple(f"z{i + 1}" for i in range(d - 2))
     gens = MultiPoly.gens(p, names)
     x, y = gens[0], gens[1]

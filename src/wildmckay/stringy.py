@@ -213,15 +213,21 @@ def origin_fiber_point_count(rep: RepType, q: int) -> Fraction:
     if pe is None or pe[0] != rep.p:
         raise BaseFieldMismatch(f"q = {q} is not a power of p = {rep.p}")
     p, k = rep.p, shift_slope(rep) - rep.p + 1
+
+    def guard(digits):
+        # the fraction's numerator and denominator have at most m + k + p
+        # base-q digits; m >= 0, so m = 0 is checked before the loop finds m
+        if (bits := digits * q.bit_length()) > MAX_COUNT_BITS:
+            dims = ",".join(map(str, rep.dims))
+            raise PointCountTooLarge(f"the point count for dims {dims} over q = {p}^{pe[1]} needs up to "
+                                     f"{bits} bits, above the output guard of {MAX_COUNT_BITS}")
+
+    guard(k + p)
     # (p-1)/p * N_{q,s} / q^sht(s) = (q-1) q^(s-1-sht(s)), and the jump np+s
     # scales it by q^(-kn); scaled by q^m, every such lead is an integer
     exps = [s - 1 - shift_number(rep, s) for s in range(1, p)]
     m = max(0, -min(exps))
-    # the fraction's numerator and denominator have at most this many bits
-    if (bits := (m + k + p) * q.bit_length()) > MAX_COUNT_BITS:
-        dims = ",".join(map(str, rep.dims))
-        raise PointCountTooLarge(f"the point count for dims {dims} over q = {p}^{pe[1]} needs up to "
-                                 f"{bits} bits, above the output guard of {MAX_COUNT_BITS}")
+    guard(m + k + p)
     leads = sum((q - 1) * q ** (e + m) for e in exps)
     den = q ** m * (q ** k - 1)  # q^m (1 - q^-k), times q^k
     return Fraction(den + leads * q ** k, den)

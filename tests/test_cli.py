@@ -392,6 +392,24 @@ class TestHugeIntegers:
         assert code == 2
         assert "above the output guard of 1048576" in capsys.readouterr().err
 
+    def test_pointcount_guard_runs_before_the_shift_numbers(self, capsys):
+        # the p - 1 shift numbers alone take 24 s here; m >= 0 gives a lower
+        # bound on the size that refuses first
+        start = time.perf_counter()
+        code = main(["stringy", "pointcount", "--p", "10007", "--dims", "10007,10007", "--q", "10007"])
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert "above the output guard of 1048576" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("p,d", [("1009", "2"), ("3", "101"), ("3", "1000"), ("4099", "400")])
+    def test_reflection_beyond_the_work_guard_exits_2_quickly(self, capsys, p, d):
+        start = time.perf_counter()
+        code = main(["verify", "reflection", "--p", p, "--d", d])
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert (f"above the work guard of p <= {invariant_rings.MAX_REFLECTION_PRIME}, "
+                f"d <= {invariant_rings.MAX_REFLECTION_DIM}") in capsys.readouterr().err
+
     @pytest.mark.parametrize("p", ["211", "1009"])
     def test_v3_beyond_the_work_guard_exits_2_quickly(self, capsys, p):
         start = time.perf_counter()

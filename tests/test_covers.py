@@ -1,19 +1,21 @@
-"""Cover classification: reduction, jumps, the valuation oracle, census."""
+"""Cover classification: reduction, jumps, the norm-based jump oracle, census."""
 
+import os
 import random
+import subprocess
+import sys
 import time
 
 import pytest
+import sympy
 
 from wildmckay import covers
 from wildmckay.cli import main
 from wildmckay.covers import (
     ASCoverClass,
-    CoverRing,
     EnumerationTooLarge,
     InvalidJump,
     RepPoly,
-    ZeroOrBelowPrecision,
     count_extensions,
     count_rep_covers,
     enumerate_covers,
@@ -23,7 +25,7 @@ from wildmckay.covers import (
     verify_jump,
     witnesses_account_for,
 )
-from wildmckay.gf import GF, GFElement
+from wildmckay.gf import GF, GFElement, InternalMismatch, PreconditionError
 from wildmckay.laurent import INF, InsufficientPrecision, LaurentSeries, artin_schreier
 
 F2 = GF(2)
@@ -36,6 +38,22 @@ def series(field, coeffs, prec=None):
     if prec is None:
         return LaurentSeries(field, coeffs)
     return LaurentSeries(field, coeffs, prec)
+
+
+def element(field, *comps):
+    """The element sum_i comps[i] g^i of the cover ring, comps as {exponent: coefficient}."""
+    return [series(field, c) for c in comps]
+
+
+def power(a, n, f):
+    out = a
+    for _ in range(n - 1):
+        out = covers._ring_mul(out, a, f)
+    return out
+
+
+def delta(a):
+    return [x - y for x, y in zip(covers._sigma(a), a)]
 
 
 class TestReduce:
@@ -126,67 +144,68 @@ class TestUniformizerParams:
 
 
 class TestCoverRingArithmetic:
-    def ring(self, F=F2, rep=None, const=0, prec=None):
-        rep = rep or {1: 1}
-        return CoverRing(ASCoverClass(RepPoly(F, rep), const), prec)
+    """Exact arithmetic in F_q((t))[g]/(g^p - g + f), on lists of p series."""
 
     def test_sigma_of_g(self):
-        R = self.ring()
-        g = R.gen()
-        assert g.sigma() == g + R.monomial(0, 0)
+        assert covers._sigma(element(F2, {}, {0: 1})) == element(F2, {0: 1}, {0: 1})
 
     def test_delta_of_g_times_series(self):
         # (sigma - id)(g*h) = h for h in the base field of series
-        R = self.ring(F3, {2: 1})
-        h = R.monomial(3, 0, 2)
-        gh = R.gen() * h
-        assert gh.sigma() - gh == h
+        f = series(F3, {-2: 1})
+        h = element(F3, {3: 2}, {}, {})
+        gh = covers._ring_mul(element(F3, {}, {0: 1}, {}), h, f)
+        assert delta(gh) == h
 
     def test_defining_relation(self):
         # g * g^(p-1) = g - f
-        R = self.ring(F3, {1: 1})
-        g = R.gen()
-        lhs = g * g * g
-        f = R.element([R.f_lift, LaurentSeries.zero(F3), LaurentSeries.zero(F3)])
-        assert lhs == g - f
+        f = series(F3, {-1: 1, 2: 1})
+        g = element(F3, {}, {0: 1}, {})
+        assert power(g, 3, f) == [-f, series(F3, {0: 1}), series(F3, {})]
 
     def test_valuation_examples(self):
-        R = self.ring(F2, {1: 1})
-        assert R.gen().valuation() == -1
-        R5 = self.ring(F5, {3: 1})
-        x = R5.monomial(1, 2)  # t * g^2: 5 - 6 = -1
-        assert x.valuation() == -1
+        # v(t^n g^i) = np - ij on a cover of jump j
+        assert covers._norm_order(element(F2, {}, {0: 1}), series(F2, {-1: 1})) == -1
+        x = element(F5, {}, {}, {1: 1}, {}, {})  # t * g^2: 5 - 6 = -1
+        assert covers._norm_order(x, series(F5, {-3: 1})) == -1
 
     def test_uniformizer_valuation(self):
-        R = self.ring(F3, {2: 1})
+        f = series(F3, {-2: 1})
         q_, _, l_, c_ = uniformizer_params(3, 2)
-        s = R.monomial(l_ * q_ - c_, 0) * R.gen() ** l_
-        assert s.valuation() == 1
+        s = covers._ring_mul(element(F3, {l_ * q_ - c_: 1}, {}, {}), power(element(F3, {}, {0: 1}, {}), l_, f), f)
+        assert covers._norm_order(s, f) == 1
 
-    def test_zero_below_precision(self):
-        R = self.ring()
-        with pytest.raises(ZeroOrBelowPrecision):
-            R.zero().valuation()
+    def test_zero_has_no_valuation(self):
+        with pytest.raises(InternalMismatch):
+            covers._norm_order(element(F2, {}, {}), series(F2, {-1: 1}))
 
     def test_insufficient_precision_raised_not_wrong(self):
-        # an element whose only known terms sit right at the precision edge
-        R = CoverRing(ASCoverClass(RepPoly(F2, {1: 1}), 0), prec=0)
-        x = R.element(
-            [
-                LaurentSeries(F2, {0: 1}, prec=0),
-                LaurentSeries(F2, {}, prec=0),
-            ]
-        )
-        # candidate 0 from component 0; component 1 could hide 2*1 - 1 = 1 > 0, fine
-        assert x.valuation() == 0
-        y = R.element(
-            [
-                LaurentSeries(F2, {}, prec=0),
-                LaurentSeries(F2, {0: 1}, prec=0),
-            ]
-        )
-        # candidate -1 from g; unknown region of comp 0 starts at valuation 2
-        assert y.valuation() == -1
+        # the oracle computes exactly, so a series known only to a finite
+        # precision is refused rather than answered
+        with pytest.raises(PreconditionError):
+            verify_jump(series(F2, {-1: 1}, prec=5))
+        assert verify_jump(series(F2, {-1: 1, 5: 1}))
+
+    @pytest.mark.parametrize("F", [F2, F3, F5])
+    def test_norm_order_is_the_resultant_order(self, F):
+        # P = g^p - g + f is monic, so Res_g(P, Q) = prod Q(roots of P) = N(Q)
+        p, rng = F.p, random.Random(F.p)
+        g, t = sympy.symbols("g t")
+
+        def sym(a):
+            return sum((c * t ** e for e, c in a.coeffs.items()), sympy.Integer(0))
+
+        def t_order(poly):
+            return min(m for (m,), c in sympy.Poly(poly, t).terms() if c % p)
+
+        for _ in range(5):
+            j = rng.choice([j for j in range(1, 6) if j % p])
+            f = series(F, {-j: rng.randrange(1, p), **{rng.randint(1 - j, 2): rng.randrange(p) for _ in range(2)}})
+            x = [series(F, {rng.randint(-3, 3): rng.randrange(p) for _ in range(2)}) for _ in range(p)]
+            if all(a.is_zero() for a in x):
+                continue
+            res = sympy.resultant(g ** p - g + sym(f), sum(sym(a) * g ** i for i, a in enumerate(x)), g)
+            num, den = sympy.fraction(sympy.together(res))
+            assert covers._norm_order(x, f) == t_order(num) - t_order(den)
 
 
 class TestVerifyJump:
@@ -202,49 +221,41 @@ class TestVerifyJump:
     )
     def test_oracle_true(self, F, rep):
         cls = ASCoverClass(RepPoly(F, {i: F.element(c) for i, c in rep.items()}), 0)
-        assert verify_jump(cls)
+        assert verify_jump(cls.lift())
+        assert verify_jump(cls.lift() + artin_schreier(series(F, {-2 * cls.jump: 1, 3: 1})))
 
     def test_sigma_s_minus_s_valuation(self):
-        cls = ASCoverClass(RepPoly(F2, {1: 1}), 0)
-        ring = CoverRing(cls)
-        s = ring.monomial(1, 0) * ring.gen()
-        assert (s.sigma() - s).valuation() == 2
+        f = series(F2, {-1: 1})
+        s = element(F2, {}, {1: 1})  # t * g
+        assert covers._norm_order(delta(s), f) == 2
 
     def test_p3_jump2(self):
-        cls = ASCoverClass(RepPoly(F3, {2: 1}), 0)
-        ring = CoverRing(cls)
+        f = series(F3, {-2: 1})
         q_, _, l_, c_ = uniformizer_params(3, 2)
-        s = ring.monomial(l_ * q_ - c_, 0) * ring.gen() ** l_
-        assert (s.sigma() - s).valuation() == 3
+        s = covers._ring_mul(element(F3, {l_ * q_ - c_: 1}, {}, {}), power(element(F3, {}, {0: 1}, {}), l_, f), f)
+        assert covers._norm_order(delta(s), f) == 3
 
     def test_unramified_rejected(self):
         with pytest.raises(InvalidJump):
-            verify_jump(ASCoverClass(RepPoly(F2), 1))
+            verify_jump(series(F2, {0: 1, -2: 1, -1: 1}))
 
     @pytest.mark.parametrize("F", [F2, F3, F5])
     def test_delta_raises_valuation_by_jump(self, F):
         # for elements of non-p-divisible valuation, v(sigma(h) - h) = v(h) + j
         rng = random.Random(F.p)
-        for rep in ({1: 1}, {F.p + 1: 1}):
-            cls = ASCoverClass(RepPoly(F, rep), 0)
-            j = cls.jump
-            ring = CoverRing(cls, prec=2 * (j + 1) + 6)
+        for j in (1, F.p + 1):
+            f = series(F, {-j: 1})
             for _ in range(20):
-                comps = []
-                for _i in range(F.p):
-                    coeffs = {
-                        rng.randint(0, 2): F.from_encoding(rng.randrange(F.order))
-                        for _ in range(rng.randint(0, 2))
-                    }
-                    comps.append(LaurentSeries(F, {k: c for k, c in coeffs.items() if not c.is_zero()}, ring.prec))
-                h = ring.element(comps)
-                try:
-                    v = h.valuation()
-                except ZeroOrBelowPrecision:
+                h = [
+                    series(F, {rng.randint(0, 2): F.from_encoding(rng.randrange(F.order)) for _ in range(rng.randint(0, 2))})
+                    for _i in range(F.p)
+                ]
+                if all(c.is_zero() for c in h):
                     continue
+                v = covers._norm_order(h, f)
                 if v % F.p == 0:
                     continue
-                assert (h.sigma() - h).valuation() == v + j
+                assert covers._norm_order(delta(h), f) == v + j
 
 
 class TestCounting:
@@ -300,6 +311,16 @@ class TestCensus:
     def test_guard(self):
         with pytest.raises(EnumerationTooLarge):
             enumerate_covers(2, 40)
+
+    def test_guard_refuses_before_forming_q_to_the_j(self):
+        # 3^(10^8) alone takes minutes to form; the guard compares exponents first
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        argv = ["covers", "census", "--p", "3", "--q", "3", "--max-exp", "100000000"]
+        done = subprocess.run([sys.executable, "-B", "-m", "wildmckay.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=10)
+        assert done.returncode == 2
+        assert "3^100000000 exceeds the enumeration guard 10000000" in done.stderr
 
     def test_determinism(self):
         a = enumerate_covers(2, 4).to_json(list_forms=True)
@@ -362,18 +383,17 @@ class TestIntCodedCore:
 
     def test_no_element_is_built_below_the_edges(self, monkeypatch):
         # once the memoized maps are warm, reduction, the witness check and
-        # cover-ring arithmetic run on codes alone
+        # the jump oracle run on codes alone
         F = GF(3, 2)
         f = series(F, {x: F.parse(c) for x, c in {-27: "y", -18: "2+y", -9: "1", -4: "2*y", 0: "1+y", 1: "2"}.items()})
 
         def run():
             cls, wits = reduce_with_witnesses(f)
             assert witnesses_account_for(f, cls, wits)
-            ring = CoverRing(cls)
-            cube = (ring.gen() + ring.monomial(-1, 0)) ** 3
-            return cube, cube.sigma()
+            return cls, verify_jump(f)
 
         warm = run()
+        assert warm[1] is True
         built = []
         init = GFElement.__init__
 

@@ -5,9 +5,12 @@ import random
 import pytest
 
 from wildmckay.invariant_rings import (
+    MAX_REFLECTION_DIM,
+    MAX_REFLECTION_PRIME,
     jacobian_determinant,
     GroupAction,
     MultiPoly,
+    RelationTooLarge,
     catalan_mod,
     dim22_generators,
     dim22_relation,
@@ -241,6 +244,14 @@ class TestReflectionJacobian:
         r32 = reflection_jacobian_check(3, 2)
         y3 = MultiPoly.variable(3, ("x", "y"), "y")
         assert r32["determinant"] == -(y3 ** 2)
+
+    def test_work_guards(self):
+        assert reflection_jacobian_check(3, MAX_REFLECTION_DIM)["det_ok"]
+        assert reflection_jacobian_check(997, 2)["det_ok"]  # the largest prime below MAX_REFLECTION_PRIME
+        for p, d in ((1009, 2), (3, MAX_REFLECTION_DIM + 1)):
+            assert p > MAX_REFLECTION_PRIME or d > MAX_REFLECTION_DIM
+            with pytest.raises(RelationTooLarge):
+                reflection_jacobian_check(p, d)
 
     def test_negative_control(self):
         # a perturbed first generator no longer has determinant +-y^(p-1)
