@@ -273,10 +273,10 @@ def crit_property_suites(rng) -> _Tally:
             coeffs = {}
             for _ in range(rng.randint(0, 6)):
                 coeffs[rng.randint(-8, 3)] = rng.choice(elems)
-            f = LaurentSeries(F, coeffs, prec=3)
+            f = LaurentSeries(F, coeffs)
             cls, wits = covers.reduce_with_witnesses(f)
             t.check(covers.witnesses_account_for(f, cls, wits), f"witnesses p={p} e={e}")
-            again = covers.reduce(cls.lift(prec=3))
+            again = covers.reduce(cls.lift())
             t.check(again == cls, f"idempotence p={p} e={e}")
     return t
 

@@ -72,11 +72,12 @@ def _parse_series(field, text: str) -> LaurentSeries:
     return LaurentSeries(field, coeffs)
 
 
-def _field_for(p: int, q: int):
+def _degree(p: int, q: int) -> int:
+    """e with q = p^e; no field is built."""
     pe = prime_power_decomposition(q)
     if pe is None or pe[0] != p:
         raise PreconditionError(f"--q must be a power of --p (got q={q}, p={p})")
-    return GF(p, pe[1])
+    return pe[1]
 
 
 def _flatten(prefix: str, obj, rows: list[tuple[str, str]]):
@@ -166,22 +167,21 @@ def _cmd_stringy_pointcount(args) -> int:
 
 
 def _cmd_covers_reduce(args) -> int:
-    field = _field_for(args.p, args.q)
-    f = _parse_series(field, args.series)
+    f = _parse_series(GF(args.p, _degree(args.p, args.q)), args.series)
     cls = covers.reduce(f)
     _emit(cls.to_json(), args.format)
     return EXIT_OK
 
 
 def _cmd_covers_census(args) -> int:
-    _field_for(args.p, args.q)
+    _degree(args.p, args.q)
     report = covers.enumerate_covers(args.q, args.max_exp, guard=args.max_enum)
     _emit(report.to_json(list_forms=args.list_forms), args.format)
     return EXIT_OK if report.all_ok else EXIT_VERIFICATION
 
 
 def _cmd_covers_count(args) -> int:
-    _field_for(args.p, args.q)
+    _degree(args.p, args.q)
     if args.extensions:
         n = covers.count_extensions(args.q, args.jump)
     else:

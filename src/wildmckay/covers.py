@@ -1,14 +1,16 @@
 """Artin-Schreier covers of the formal disk over a finite field.
 
 A degree-p cover of Spec F_q[[t]] restricted to the punctured disk is cut
-out by u^p - u + f = 0 for a Laurent series f, and depends only on the
+out by u^p - u + f = 0 for a Laurent polynomial f, and depends only on the
 class of f modulo the image of the Artin-Schreier operator w(x) = x^p - x.
 Every class has a unique normal form: a representative polynomial
 sum_{i} f_{-i} t^{-i} with every exponent i positive and coprime to p,
 plus an unramified constant class in F_p realized here through the
-absolute trace.
+absolute trace.  The positive tail of f lies in the image, so only its
+polar part is read.
 
-The module provides the reduction with accumulated witnesses, the
+The module provides the reduction with accumulated witnesses, kept as
+(exponent, code) monomials from the int-coded core onward, the
 ramification jump, stratum counting formulas, a brute-force census engine
 that cross-checks them, and an independent jump oracle: for a Laurent
 polynomial f it computes in F_q((t))[g]/(g^p - g + f) exactly and reads
@@ -22,7 +24,7 @@ import math
 from collections import Counter
 
 from .gf import GF, GaloisField, InternalMismatch, PreconditionError, require_prime_power
-from .laurent import INF, LaurentSeries
+from .laurent import LaurentSeries
 
 
 class InvalidJump(PreconditionError):
@@ -35,6 +37,7 @@ class EnumerationTooLarge(PreconditionError):
 
 # Output guard on the stratum counts, in bits: printing a 2^20-bit integer
 # already takes over a second, and forming q^k at a jump near 10^11 never ends.
+# It also bounds the witness chain of one term of a reduced polynomial.
 MAX_COUNT_BITS = 2 ** 20
 
 
@@ -67,8 +70,8 @@ class RepPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def as_series(self, prec=INF) -> LaurentSeries:
-        return LaurentSeries._from_codes(self.field, {-i: c for i, c in self.coeffs.items()}).truncate(prec)
+    def as_series(self) -> LaurentSeries:
+        return LaurentSeries._from_codes(self.field, {-i: c for i, c in self.coeffs.items()})
 
     def key(self) -> tuple:
         """Deterministic sort/hash key."""
@@ -119,8 +122,8 @@ class ASCoverClass:
         order of the representative polynomial, 0 for unramified covers."""
         return self.rep.jump
 
-    def lift(self, prec=INF) -> LaurentSeries:
-        """A Laurent series in the class: rep plus the first constant, in
+    def lift(self) -> LaurentSeries:
+        """A Laurent polynomial in the class: rep plus the first constant, in
         encoding order, whose trace (the map F.codes[4]) is const_class.
         The trace is F_p-linear: for the least i with tr(y^i) != 0, all
         codes below p^i have trace 0, so that constant is t/tr(y^i) * y^i."""
@@ -129,7 +132,7 @@ class ASCoverClass:
         if t:
             i = next(i for i in range(F.e) if tr(F.p ** i))
             coeffs[0] = t * pow(tr(F.p ** i), -1, F.p) % F.p * F.p ** i
-        return LaurentSeries._from_codes(F, coeffs).truncate(prec)
+        return LaurentSeries._from_codes(F, coeffs)
 
     def key(self) -> tuple:
         return (self.rep.key(), self.const_class)
@@ -209,18 +212,25 @@ def _cover_class(F, rep, const):
     return ASCoverClass(poly, const)
 
 
-def reduce_with_witnesses(f: LaurentSeries) -> tuple[ASCoverClass, list[LaurentSeries]]:
+def reduce_with_witnesses(f: LaurentSeries) -> tuple[ASCoverClass, list[tuple[int, int]]]:
     """Normal form of f modulo the Artin-Schreier image, with the subtracted
-    preimage witnesses as monomials, so that f - sum w(witness) has negative
-    part equal to the returned representative polynomial.
+    preimage witnesses as (exponent, code) monomials in ascending order, so
+    that f - sum w(c t^e) has negative part equal to the returned
+    representative polynomial.
 
     The strictly positive tail is discarded outright (it always lies in the
     image over F_q[[t]] up to a constant-class adjustment, which the trace of
-    the constant term absorbs).  See _reduce_codes.
+    the constant term absorbs).  See _reduce_codes.  A term at t^e walks a
+    chain of up to log_p|e| witnesses of up to log_2|e| bits each, so an
+    exponent whose chain could exceed MAX_COUNT_BITS bits is refused.
     """
-    F = f.field
-    rep, const, witnesses = _reduce_codes(F, f.polar_codes())
-    return _cover_class(F, rep, const), [LaurentSeries._from_codes(F, {e: c}) for e, c in witnesses]
+    F, polar = f.field, f.polar_codes()
+    bits = max((e.bit_length() for e in polar if e % F.p == 0), default=0)
+    if bits * bits > MAX_COUNT_BITS:
+        raise PreconditionError(f"a term at an exponent of {bits} bits can need {bits * bits} bits of "
+                                f"witnesses, above the guard of {MAX_COUNT_BITS}")
+    rep, const, witnesses = _reduce_codes(F, polar)
+    return _cover_class(F, rep, const), witnesses
 
 
 def reduce(f: LaurentSeries) -> ASCoverClass:
@@ -229,12 +239,11 @@ def reduce(f: LaurentSeries) -> ASCoverClass:
 
 
 def witnesses_account_for(f: LaurentSeries, cls: ASCoverClass, witnesses) -> bool:
-    """Check f - sum w(witness) has negative part cls.rep and constant-term
-    trace cls.const_class.  (The positive tail is absorbed implicitly and is
-    not certified here.)"""
-    pairs = [pair for w in witnesses for pair in w.polar_codes().items()]
+    """Check that f - sum w(c t^e) over the witness pairs (e, c) has negative
+    part cls.rep and constant-term trace cls.const_class.  (The positive
+    tail is absorbed implicitly and is not certified here.)"""
     rep = {-i: c for i, c in cls.rep.coeffs.items()}
-    return _witnesses_hold(f.field, f.polar_codes(), rep, cls.const_class, pairs)
+    return _witnesses_hold(f.field, f.polar_codes(), rep, cls.const_class, witnesses)
 
 
 def uniformizer_params(p: int, j: int) -> tuple[int, int, int, int]:
@@ -307,12 +316,11 @@ def verify_jump(f: LaurentSeries) -> bool:
     v(sigma(s) - s) = j + 1 (Serre, Local Fields, IV).  Checks both, with
     v = ord_t N and N(s) = t^(pm) N(h)^(l').  An unramified f raises InvalidJump.
     """
-    if f.prec != INF:
-        raise PreconditionError(f"the jump oracle needs a Laurent polynomial, not a series known to t^{f.prec}")
     cls, witnesses = reduce_with_witnesses(f)
     p, j, zero = f.field.p, cls.jump, LaurentSeries.zero(f.field)
     q_, _r, l_, c_ = uniformizer_params(p, j)
-    h = power = [sum(witnesses, zero), LaurentSeries._from_codes(f.field, {0: 1})] + [zero] * (p - 2)
+    one = LaurentSeries._from_codes(f.field, {0: 1})
+    h = power = [LaurentSeries._from_codes(f.field, dict(witnesses)), one] + [zero] * (p - 2)
     for _ in range(l_ - 1):
         power = _ring_mul(power, h, f)
     pm = p * (l_ * q_ - c_)  # sigma(s) - s = t^m (sigma(h^l') - h^l')

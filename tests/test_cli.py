@@ -332,6 +332,19 @@ class TestHugeModuli:
         assert code == 0
         assert data == {"rep": {"terms": [[2, 1]]}, "const_class": 0, "jump": 2}
 
+    @pytest.mark.parametrize("argv,code", [(("count", "--jump", "1"), 0), (("census", "--max-exp", "5"), 2)])
+    def test_count_and_census_build_no_field(self, capsys, argv, code):
+        # building F_(2^128) takes about 20 s; these commands only check q = p^e
+        q = 2 ** 128
+        start = time.perf_counter()
+        assert main(["covers", argv[0], "--p", "2", "--q", str(q), *argv[1:]]) == code
+        assert time.perf_counter() - start < 1.0
+        out, err = capsys.readouterr()
+        if code == 0:
+            assert out == f"{q - 1}\n"
+        else:
+            assert "exceeds the enumeration guard" in err
+
     def test_unprovable_prime_is_a_precondition_error(self, capsys):
         p = str(self.MERSENNE_89)
         assert main(["covers", "reduce", "--p", p, "--q", p, "--series=-2:1"]) == 2

@@ -26,7 +26,7 @@ from wildmckay.covers import (
     witnesses_account_for,
 )
 from wildmckay.gf import GF, GFElement, InternalMismatch, PreconditionError
-from wildmckay.laurent import INF, InsufficientPrecision, LaurentSeries, artin_schreier
+from wildmckay.laurent import LaurentSeries, artin_schreier
 
 F2 = GF(2)
 F3 = GF(3)
@@ -34,10 +34,15 @@ F4 = GF(2, 2)
 F5 = GF(5)
 
 
-def series(field, coeffs, prec=None):
-    if prec is None:
-        return LaurentSeries(field, coeffs)
-    return LaurentSeries(field, coeffs, prec)
+series = LaurentSeries
+
+
+def cli_process(*argv):
+    """Run the CLI in a fresh interpreter, with a 10 s timeout."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-B", "-m", "wildmckay.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=10)
 
 
 def element(field, *comps):
@@ -80,12 +85,28 @@ class TestReduce:
         # t^-4 over F_2 reduces through t^-2 down to t^-1
         cls, wits = reduce_with_witnesses(series(F2, {-4: 1}))
         assert cls.rep == RepPoly(F2, {1: 1})
-        assert len(wits) == 2
+        assert wits == [(-2, 1), (-1, 1)]
         assert witnesses_account_for(series(F2, {-4: 1}), cls, wits)
 
-    def test_requires_constant_term_precision(self):
-        with pytest.raises(InsufficientPrecision):
-            reduce(series(F2, {-2: 1}, prec=-1))
+    def test_witness_chain_guard(self):
+        # t^(-2^1023) over F_2 walks a chain of 1023 witnesses: 1024^2 bits at most
+        assert reduce(series(F2, {-2 ** 1023: 1})) == ASCoverClass(RepPoly(F2, {1: 1}), 0)
+        with pytest.raises(PreconditionError, match="1050625 bits of witnesses, above the guard of 1048576"):
+            reduce(series(F2, {-2 ** 1024: 1}))
+        # a huge exponent prime to p starts no chain
+        assert reduce(series(F2, {-2 ** 5000 - 1: 1})).jump == 2 ** 5000 + 1
+
+    def test_witness_chain_guard_refuses_before_the_walk(self):
+        # a 60 KB argument: the chain walk alone took 24 s, quadratic in the bits
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            digits = str(2 ** 200000)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        done = cli_process("covers", "reduce", "--p", "2", "--q", "2", f"--series=-{digits}:1")
+        assert done.returncode == 2
+        assert "above the guard of 1048576" in done.stderr
 
     def test_rep_poly_invariants(self):
         with pytest.raises(ValueError):
@@ -101,10 +122,10 @@ class TestReduce:
         elems = list(F.elements())
         for _ in range(200):
             coeffs = {rng.randint(-9, 2): rng.choice(elems) for _ in range(rng.randint(0, 5))}
-            f = series(F, {k: c for k, c in coeffs.items() if not c.is_zero()}, prec=2)
+            f = series(F, coeffs)
             cls, wits = reduce_with_witnesses(f)
             assert witnesses_account_for(f, cls, wits)
-            assert reduce(cls.lift(prec=2)) == cls
+            assert reduce(cls.lift()) == cls
 
 
 class TestJump:
@@ -177,13 +198,6 @@ class TestCoverRingArithmetic:
     def test_zero_has_no_valuation(self):
         with pytest.raises(InternalMismatch):
             covers._norm_order(element(F2, {}, {}), series(F2, {-1: 1}))
-
-    def test_insufficient_precision_raised_not_wrong(self):
-        # the oracle computes exactly, so a series known only to a finite
-        # precision is refused rather than answered
-        with pytest.raises(PreconditionError):
-            verify_jump(series(F2, {-1: 1}, prec=5))
-        assert verify_jump(series(F2, {-1: 1, 5: 1}))
 
     @pytest.mark.parametrize("F", [F2, F3, F5])
     def test_norm_order_is_the_resultant_order(self, F):
@@ -314,11 +328,7 @@ class TestCensus:
 
     def test_guard_refuses_before_forming_q_to_the_j(self):
         # 3^(10^8) alone takes minutes to form; the guard compares exponents first
-        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        argv = ["covers", "census", "--p", "3", "--q", "3", "--max-exp", "100000000"]
-        done = subprocess.run([sys.executable, "-B", "-m", "wildmckay.cli", *argv],
-                              capture_output=True, text=True, env=env, timeout=10)
+        done = cli_process("covers", "census", "--p", "3", "--q", "3", "--max-exp", "100000000")
         assert done.returncode == 2
         assert "3^100000000 exceeds the enumeration guard 10000000" in done.stderr
 
@@ -335,8 +345,8 @@ class TestIntCodedCore:
     def laurent_route(f, cls, witnesses):
         # the check redone with LaurentSeries arithmetic, independent of the core
         g = f
-        for w in witnesses:
-            g = g - artin_schreier(w)
+        for e, c in witnesses:
+            g = g - artin_schreier(series(f.field, {e: f.field.from_encoding(c)}))
         neg = {e: c for e, c in g.coeffs.items() if e < 0}
         return neg == {-i: c for i, c in cls.rep.coeffs.items()} and g.coefficient(0).trace() == cls.const_class
 
@@ -345,16 +355,15 @@ class TestIntCodedCore:
         F = GF(p, e)
         rng = random.Random(p * 10 + e)
         for _ in range(150):
-            prec = rng.randint(0, 3)
-            codes = {rng.randint(-60, prec): rng.randrange(1, F.order) for _ in range(rng.randint(0, 7))}
-            f = series(F, {x: F.from_encoding(c) for x, c in codes.items()}, prec=prec)
+            # terms above t^0 too: reduction must discard the positive tail
+            codes = {rng.randint(-60, 3): rng.randrange(1, F.order) for _ in range(rng.randint(0, 7))}
+            f = series(F, {x: F.from_encoding(c) for x, c in codes.items()})
             cls, wits = reduce_with_witnesses(f)
             polar = {x: c for x, c in codes.items() if x <= 0}
             assert f.polar_codes() == polar
             rep, const, core_wits = covers._reduce_codes(F, polar)
             assert cls.key() == (tuple(sorted((-x, c) for x, c in rep.items())), const)
-            assert [(w.order(), w.coefficient(w.order()).encode()) for w in wits] == core_wits
-            assert all(len(w.coeffs) == 1 and w.prec == INF for w in wits)
+            assert wits == core_wits
             assert witnesses_account_for(f, cls, wits) is True
             assert covers._witnesses_hold(F, polar, rep, const, core_wits) is True
             assert self.laurent_route(f, cls, wits)
@@ -362,11 +371,6 @@ class TestIntCodedCore:
                 # dropping a witness must be caught by both routes
                 assert not witnesses_account_for(f, cls, wits[1:])
                 assert not self.laurent_route(f, cls, wits[1:])
-
-    def test_witness_check_needs_the_constant_term(self):
-        f = series(F2, {-2: 1}, prec=-1)
-        with pytest.raises(InsufficientPrecision):
-            witnesses_account_for(f, reduce(series(F2, {-2: 1})), [])
 
     @pytest.mark.parametrize("map_name,index", [("pth_root", 3), ("frobenius", 2)])
     def test_wrong_field_map_fails_the_census(self, map_name, index, monkeypatch, capsys):

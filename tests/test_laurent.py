@@ -1,4 +1,4 @@
-"""Truncated Laurent series: precision bookkeeping and the AS operator."""
+"""Laurent polynomials over a finite field and the AS operator."""
 
 import random
 
@@ -6,7 +6,7 @@ import pytest
 
 from wildmckay.covers import RepPoly
 from wildmckay.gf import GF
-from wildmckay.laurent import INF, InsufficientPrecision, LaurentSeries, artin_schreier
+from wildmckay.laurent import LaurentSeries, artin_schreier
 
 F2 = GF(2)
 F3 = GF(3)
@@ -18,42 +18,10 @@ def test_construction_drops_zeros():
     assert f.support() == [0]
 
 
-def test_coefficient_above_precision_rejected():
-    with pytest.raises(ValueError):
-        LaurentSeries(F2, {5: 1}, prec=3)
-    f = LaurentSeries(F2, {1: 1}, prec=3)
-    with pytest.raises(InsufficientPrecision):
-        f.coefficient(4)
-
-
-def test_addition_takes_min_precision():
-    a = LaurentSeries(F2, {0: 1, 2: 1}, prec=5)
-    b = LaurentSeries(F2, {1: 1}, prec=2)
-    c = a + b
-    assert c.prec == 2
-    assert c.support() == [0, 1, 2]
-
-
-def test_product_precision_convolution_bound():
-    a = LaurentSeries(F3, {-1: 1}, prec=4)   # ord -1
-    b = LaurentSeries(F3, {2: 1}, prec=6)    # ord 2
-    c = a * b
-    # min(4 + 2, 6 + (-1)) = 5
-    assert c.prec == 5
-    assert c.support() == [1]
-
-
-def test_product_with_unknown_zero_factor():
-    z = LaurentSeries(F3, {}, prec=2)  # zero so far, unknown above t^2
-    b = LaurentSeries(F3, {0: 1}, prec=INF)
-    c = z * b
-    assert c.is_zero() and c.prec == 2
-
-
 def test_exact_zero_times_anything_is_exact():
     z = LaurentSeries.zero(F3)
-    b = LaurentSeries(F3, {0: 1}, prec=4)
-    assert (z * b).prec == INF
+    b = LaurentSeries(F3, {-2: 1, 4: 2})
+    assert (z * b).is_zero() and (b * z).is_zero()
 
 
 class TestArtinSchreier:
@@ -65,10 +33,6 @@ class TestArtinSchreier:
         f = LaurentSeries(F2, {-1: 1})
         w = artin_schreier(f)
         assert w == LaurentSeries(F2, {-2: 1, -1: 1})
-
-    def test_precision_preserved(self):
-        f = LaurentSeries(F3, {-1: 1, 2: 1}, prec=4)
-        assert artin_schreier(f).prec == 4
 
     def test_field_element_lands_in_trace_kernel(self):
         for x in F4.elements():
@@ -90,19 +54,17 @@ class TestCodedCoefficients:
     def test_elements_come_back_unchanged(self):
         F = GF(3, 2)
         for x in F.elements():
-            f = LaurentSeries(F, {-3: x}, prec=2)
+            f = LaurentSeries(F, {-3: x})
             assert f.coefficient(-3) == x and f.coefficient(0).is_zero()
 
     @staticmethod
-    def random_terms(F, rng, prec):
-        """{exponent: nonzero element} with every exponent <= prec."""
-        top = 6 if prec == INF else prec
-        terms = {rng.randint(-12, top): F.from_encoding(rng.randrange(F.order)) for _ in range(rng.randint(0, 6))}
+    def random_terms(F, rng):
+        """{exponent: nonzero element}, on both sides of t^0."""
+        terms = {rng.randint(-12, 6): F.from_encoding(rng.randrange(F.order)) for _ in range(rng.randint(0, 6))}
         return {e: c for e, c in terms.items() if c}
 
     @staticmethod
-    def assert_matches(got, terms, prec):
-        assert got.prec == prec
+    def assert_matches(got, terms):
         assert {e: got.coefficient(e) for e in got.support()} == {e: c for e, c in terms.items() if c}
 
     @pytest.mark.parametrize("p,e", [(2, 2), (2, 3), (3, 2), (5, 2)])
@@ -110,25 +72,19 @@ class TestCodedCoefficients:
         F = GF(p, e)
         rng = random.Random(p ** e)
         for _ in range(60):
-            pa, pb = (rng.choice([INF, rng.randint(-3, 6)]) for _ in range(2))
-            ta, tb = self.random_terms(F, rng, pa), self.random_terms(F, rng, pb)
-            a, b = LaurentSeries(F, ta, pa), LaurentSeries(F, tb, pb)
-            prec = min(pa, pb)
-            support = [x for x in set(ta) | set(tb) if x <= prec]
-            self.assert_matches(a + b, {x: ta.get(x, F.zero) + tb.get(x, F.zero) for x in support}, prec)
-            self.assert_matches(a - b, {x: ta.get(x, F.zero) - tb.get(x, F.zero) for x in support}, prec)
+            ta, tb = self.random_terms(F, rng), self.random_terms(F, rng)
+            a, b = LaurentSeries(F, ta), LaurentSeries(F, tb)
+            support = set(ta) | set(tb)
+            self.assert_matches(a + b, {x: ta.get(x, F.zero) + tb.get(x, F.zero) for x in support})
+            self.assert_matches(a - b, {x: ta.get(x, F.zero) - tb.get(x, F.zero) for x in support})
             k = rng.randint(p, 4 * p)
-            self.assert_matches(a * k, {x: c * k for x, c in ta.items()}, pa)
-            prec = min(pa + min(tb, default=pb + 1), pb + min(ta, default=pa + 1))
+            self.assert_matches(a * k, {x: c * k for x, c in ta.items()})
             product = {}
             for x, c in ta.items():
                 for y, d in tb.items():
-                    if x + y <= prec:
-                        product[x + y] = product.get(x + y, F.zero) + c * d
-            self.assert_matches(a * b, product, prec)
-            prec = pa if pa == INF else min(pa, p * pa)
-            image = {x: -c for x, c in ta.items() if x <= prec}
+                    product[x + y] = product.get(x + y, F.zero) + c * d
+            self.assert_matches(a * b, product)
+            image = {x: -c for x, c in ta.items()}
             for x, c in ta.items():
-                if p * x <= prec:
-                    image[p * x] = image.get(p * x, F.zero) + c ** p
-            self.assert_matches(artin_schreier(a), image, prec)
+                image[p * x] = image.get(p * x, F.zero) + c ** p
+            self.assert_matches(artin_schreier(a), image)

@@ -1,5 +1,5 @@
-"""No `assert` may decide a result: `python -O` strips them.  Repeated
-squaring lives in gf alone."""
+"""No `assert` may decide a result: `python -O` strips them.  No float may
+either.  Repeated squaring lives in gf alone."""
 
 import ast
 from pathlib import Path
@@ -18,6 +18,31 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert not found, f"assert statements in the package: {found}"
+
+
+def _floats(node, scope=""):
+    """(enclosing qualname, line) of each float literal, float(...) call and
+    .inf or .nan attribute under node."""
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            inner = f"{scope}.{child.name}" if scope else child.name
+        if (
+            isinstance(child, ast.Constant) and isinstance(child.value, float)
+            or isinstance(child, ast.Call) and isinstance(child.func, ast.Name) and child.func.id == "float"
+            or isinstance(child, ast.Attribute) and child.attr in ("inf", "nan")
+        ):
+            yield inner, child.lineno
+        yield from _floats(child, inner)
+
+
+def test_no_floats():
+    """Only MotivicValue.dimension may use a float: it documents -inf as the
+    dimension of the zero value, and no result depends on it."""
+    found = [(path.name, scope, line) for path in SOURCES for scope, line in _floats(ast.parse(path.read_text()))]
+    allowed = [use for use in found if use[:2] == ("motivic.py", "MotivicValue.dimension")]
+    assert len(allowed) == 1, "the check no longer sees the -inf of MotivicValue.dimension"
+    assert not set(found) - set(allowed), f"floats in the package: {sorted(set(found) - set(allowed))}"
 
 
 def _squares_in_place(node) -> bool:
