@@ -13,8 +13,8 @@ with integer coefficients, kept in a unique canonical form:
 Values are immutable; equality is equality of canonical forms.  The
 realizations substitute a number for L: a prime power q for point counts,
 1 for the topological Euler characteristic, T^2 for the Poincare
-polynomial.  Canonicalization is integer-only: pseudo-division and a
-primitive remainder sequence over Z on the sparse {exponent: coefficient}
+polynomial.  Canonicalization is integer-only: exact division and a gcd
+by evaluation at a power of 2 over Z on the sparse {exponent: coefficient}
 dicts; fractions.Fraction appears only at the realizations.
 """
 
@@ -24,7 +24,7 @@ import heapq
 import math
 from fractions import Fraction
 
-from .gf import InternalMismatch, binary_power, require_prime_power
+from .gf import binary_power, require_prime_power
 
 Rat = int | Fraction
 
@@ -71,11 +71,18 @@ class LefschetzPoly:
         return not self.terms
 
     def evaluate(self, x0: Fraction) -> Fraction:
-        """Value at x = L^(1/scale) = x0 (x0 nonzero if negative exponents)."""
-        total = Fraction(0)
-        for k, c in self.terms.items():
-            total += c * x0 ** k
-        return total
+        """Value at x = L^(1/scale) = x0 (x0 nonzero if negative exponents): with
+        x0 = n/d, n^lo / d^hi times the Horner sum of c_k n^(k-lo) d^(hi-k)."""
+        if not self.terms:
+            return Fraction(0)
+        n, d = x0.numerator, x0.denominator
+        lo, hi = min(self.terms), max(self.terms)
+        acc, d_pow, prev = 0, 1, hi
+        for k in sorted(self.terms, reverse=True):
+            d_pow *= d ** (prev - k)
+            acc = acc * n ** (prev - k) + self.terms[k] * d_pow
+            prev = k
+        return Fraction(acc * n ** max(lo, 0) * d ** max(-hi, 0), n ** max(-lo, 0) * d ** max(hi, 0))
 
 
 def _merge(*polys: LefschetzPoly):
@@ -326,16 +333,12 @@ class MotivicValue:
         return f"MotivicValue({self})"
 
 
-def _divide(a: dict[int, int], b: dict[int, int], exact: bool = False):
-    """Divide a by b over Z; returns (quotient, remainder).
+def _divide(a: dict[int, int], b: dict[int, int]) -> dict[int, int] | None:
+    """The quotient a/b over Z, or None when b does not divide a over Z.
 
-    A step whose leading coefficient lc(b) does not divide first scales a
-    and the quotient so far by lc(b) (pseudo-division), so s*a = quotient*b
-    + remainder for a power s of lc(b), with deg remainder < deg b.  With
-    exact=True, b must divide a over Z: a step that would need scaling, or
-    a nonzero remainder, raises InternalMismatch.  The arguments are left
-    unchanged: the steps update a local copy of a in place, and a heap of
-    its exponents gives the leading term, skipping cancelled ones."""
+    The arguments are left unchanged: the steps update a local copy of a
+    in place, and a heap of its exponents gives the leading term, skipping
+    cancelled ones."""
     db = max(b)
     lb = b[db]
     a = dict(a)
@@ -348,13 +351,7 @@ def _divide(a: dict[int, int], b: dict[int, int], exact: bool = False):
             continue
         c, m = divmod(a[da], lb)
         if m:
-            if exact:
-                raise InternalMismatch("the divisor does not divide over Z")
-            for k in a:
-                a[k] *= lb
-            for k in quot:
-                quot[k] *= lb
-            c = a[da] // lb
+            return None
         shift = da - db
         quot[shift] = c
         for k, v in b.items():
@@ -368,28 +365,58 @@ def _divide(a: dict[int, int], b: dict[int, int], exact: bool = False):
             else:
                 a[e] = -c * v
                 heapq.heappush(heap, -e)
-    if exact and a:
-        raise InternalMismatch("the divisor leaves a nonzero remainder")
-    return quot, a
+    return None if a else quot
 
 
-def _primitive(a: dict[int, int]) -> dict[int, int]:
-    """a over its content, with positive leading coefficient."""
-    if not a:
-        return a
-    g = math.gcd(*a.values())
-    if a[max(a)] < 0:
-        g = -g
-    return {k: c // g for k, c in a.items()}
+def _at_power_of_two(a: dict[int, int], s: int) -> int:
+    """a(2^s) by shifts.  Past 1024 terms a splits at a middle exponent m into
+    low + x^m high, so that a long a costs a few passes over the bits of
+    a(2^s), not one shifted copy per term."""
+    if len(a) <= 1024:
+        return sum(c << s * k for k, c in a.items())
+    m = (min(a) + max(a) + 1) // 2
+    low = {k: c for k, c in a.items() if k < m}
+    high = {k - m: c for k, c in a.items() if k >= m}
+    return _at_power_of_two(low, s) + (_at_power_of_two(high, s) << s * m)
 
 
-def _gcd(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
-    """Primitive gcd of two nonzero polynomials over Z: the last nonzero
-    term of their primitive remainder sequence."""
-    a, b = _primitive(a), _primitive(b)
-    while b:
-        a, b = b, _primitive(_divide(a, b)[1])
-    return a
+def _cofactors(a: dict[int, int], b: dict[int, int]):
+    """(a/g, b/g) for the primitive gcd g of nonzero polynomials a and b over Z.
+
+    GCDHEU (Char, Geddes and Gonnet, J. Symbolic Comput. 7 (1989) 31-48): at
+    x = 2^s > 2 min(|a|, |b|) + 2, |.| the largest absolute coefficient, read
+    G off the symmetric base-x digits of gamma = gcd(a(x), b(x)), so G(x) =
+    gamma and |G| <= x/2; accept pp(G) if it divides a and b, else square x.
+
+    Correctness.  Suppose pp(G) divides a and b, so g = pp(G) h over Z.
+    Then g(x) divides a(x) and b(x), hence their gcd gamma = cont(G) pp(G)(x),
+    so h(x) divides cont(G), and 0 < |cont(G)| <= x/2.  Every root z of h is
+    a root of a and of b, so |z| < 1 + min(|a|, |b|) < x/2 by Cauchy's bound,
+    and a nonconstant h would have |h(x)| >= prod |x - z| > x/2.  So h = +-1.
+
+    Termination.  gamma/g(x) = gcd((a/g)(x), (b/g)(x)) divides the resultant
+    R = Res(a/g, b/g) != 0, so gamma = (d g)(x) for a divisor d of R.  Once
+    x > 2 |R| |g|, the digits of gamma are the coefficients of d g.
+    """
+    s = (2 * min(max(map(abs, a.values())), max(map(abs, b.values()))) + 2).bit_length()
+    while True:
+        gamma = math.gcd(_at_power_of_two(a, s), _at_power_of_two(b, s))
+        x, g, k = 1 << s, {}, 0
+        while gamma:
+            c = gamma & (x - 1)
+            if 2 * c > x:  # symmetric digits, in (-x/2, x/2]
+                c -= x
+            if c:
+                g[k] = c
+            gamma = (gamma - c) >> s
+            k += 1
+        if max(g) == 0:
+            return a, b
+        content = math.gcd(*g.values()) * (1 if g[max(g)] > 0 else -1)
+        g = {k: c // content for k, c in g.items()}
+        if (qa := _divide(a, g)) is not None and (qb := _divide(b, g)) is not None:
+            return qa, qb
+        s *= 2
 
 
 def _canonicalize(num: dict[int, int], den: dict[int, int], scale: int):
@@ -400,10 +427,8 @@ def _canonicalize(num: dict[int, int], den: dict[int, int], scale: int):
     a = {k - mn: c for k, c in num.items()}
     b = {k - md: c for k, c in den.items()}
     # a single term (a constant after the shift) leaves the primitive gcd 1
-    if len(a) > 1 and len(b) > 1 and max(g := _gcd(a, b)):
-        # g is primitive, so by Gauss's lemma both quotients are integral
-        a = _divide(a, g, exact=True)[0]
-        b = _divide(b, g, exact=True)[0]
+    if len(a) > 1 and len(b) > 1:
+        a, b = _cofactors(a, b)
     content = math.gcd(*a.values(), *b.values())
     if b[max(b)] < 0:
         content = -content
