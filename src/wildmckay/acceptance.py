@@ -268,11 +268,10 @@ def crit_property_suites(rng) -> _Tally:
     # reduction: idempotence and witness accounting
     for p, e in ((2, 1), (2, 2), (3, 1), (5, 1)):
         F = GF(p, e)
-        elems = list(F.elements())
         for _ in range(1000):
             coeffs = {}
             for _ in range(rng.randint(0, 6)):
-                coeffs[rng.randint(-8, 3)] = rng.choice(elems)
+                coeffs[rng.randint(-8, 3)] = rng.choice(range(F.order))
             f = LaurentSeries(F, coeffs)
             cls, wits = covers.reduce_with_witnesses(f)
             t.check(covers.witnesses_account_for(f, cls, wits), f"witnesses p={p} e={e}")

@@ -57,7 +57,7 @@ def _parse_dims(text: str) -> tuple[int, ...]:
 
 def _parse_series(field, text: str) -> LaurentSeries:
     """Parse 'exp:coeff,exp:coeff' with int or polynomial coefficients."""
-    coeffs = {}
+    coeffs, add = {}, field.codes[0]
     text = text.strip()
     if text:
         for chunk in text.split(","):
@@ -68,7 +68,7 @@ def _parse_series(field, text: str) -> LaurentSeries:
                 e, c = int(exp_s), field.parse(coeff_s)
             except ValueError as exc:
                 raise PreconditionError(f"malformed series term {chunk!r}: {exc}") from None
-            coeffs[e] = coeffs.get(e, field.zero) + c
+            coeffs[e] = add(coeffs.get(e, 0), c)
     return LaurentSeries(field, coeffs)
 
 

@@ -24,7 +24,7 @@ import math
 from collections import Counter
 
 from .gf import GF, GaloisField, InternalMismatch, PreconditionError, require_prime_power
-from .laurent import LaurentSeries
+from .laurent import LaurentSeries, nonzero_codes
 
 
 class InvalidJump(PreconditionError):
@@ -52,15 +52,10 @@ class RepPoly:
 
     def __init__(self, field: GaloisField, coeffs=None):
         self.field = field
-        clean: dict[int, int] = {}
-        for i, c in (coeffs or {}).items():
-            i, c = int(i), field.code(c)
-            if not c:
-                continue
+        self.coeffs = nonzero_codes(field, coeffs)
+        for i in self.coeffs:
             if i <= 0 or i % field.p == 0:
                 raise ValueError(f"exponent index {i} must be positive and coprime to {field.p}")
-            clean[i] = c
-        self.coeffs = clean
 
     @property
     def jump(self) -> int:
@@ -97,7 +92,7 @@ class RepPoly:
         prime = self.field.e == 1
         return {
             "terms": [
-                [i, c if prime else str(self.field.from_encoding(c))]
+                [i, c if prime else self.field.format(c)]
                 for i, c in sorted(self.coeffs.items())
             ]
         }
@@ -161,7 +156,7 @@ class ASCoverClass:
 # -- the int-coded reduction core ---------------------------------------------
 #
 # A Laurent polynomial is a dict {exponent: code} of nonzero coefficients,
-# codes as in GFElement.encode, and the field's maps GaloisField.codes do the
+# codes as in gf, and the field's maps GaloisField.codes do the
 # arithmetic.  Only exponents <= 0 matter: the positive tail lies in the
 # Artin-Schreier image.
 
@@ -172,8 +167,8 @@ def _reduce_codes(F, f):
 
     Returns (rep, const_class, witnesses): rep maps the exponents of the
     representative polynomial (negative, coprime to p) to codes, and the
-    witnesses are (exponent, code) monomials in the order subtracted, which
-    is ascending.  A term c*t^(pi) with pi < 0 is cancelled by subtracting
+    witnesses are (exponent, code) monomials in the order subtracted, one
+    per exponent.  A term c*t^(pi) with pi < 0 is cancelled by subtracting
     w(c^(1/p) t^i).  Only pi feeds into i, so walking each chain
     e, e/p, e/p^2, ... from its most negative end visits every exponent
     after all of its input.
@@ -190,7 +185,6 @@ def _reduce_codes(F, f):
             c = add(rep.pop(e, 0), r)
             if c:
                 rep[e] = c
-    witnesses.sort()
     return rep, const, witnesses
 
 
@@ -214,8 +208,8 @@ def _cover_class(F, rep, const):
 
 def reduce_with_witnesses(f: LaurentSeries) -> tuple[ASCoverClass, list[tuple[int, int]]]:
     """Normal form of f modulo the Artin-Schreier image, with the subtracted
-    preimage witnesses as (exponent, code) monomials in ascending order, so
-    that f - sum w(c t^e) has negative part equal to the returned
+    preimage witnesses as (exponent, code) monomials in the order
+    subtracted, so that f - sum w(c t^e) has negative part equal to the returned
     representative polynomial.
 
     The strictly positive tail is discarded outright (it always lies in the
@@ -288,11 +282,12 @@ def _ring_mul(a, b, f):
 
 def _sigma(a):
     """The Galois generator g -> g + 1 applied to a, re-expanded."""
-    out = [LaurentSeries.zero(a[0].field)] * len(a)
+    p = len(a)
+    out = [LaurentSeries.zero(a[0].field)] * p
     for m, x in enumerate(a):
         if not x.is_zero():
             for i in range(m + 1):
-                out[i] = out[i] + x * math.comb(m, i)
+                out[i] = out[i] + x * (math.comb(m, i) % p)
     return out
 
 

@@ -4,8 +4,12 @@ Elements of GF(p, e) are residues in F_p[y]/(m(y)) where m is the monic
 irreducible polynomial of degree e whose non-leading coefficient vector
 (c_0, ..., c_{e-1}) is smallest when read as the base-p integer
 c_0 + c_1*p + ... .  This makes serialized elements reproducible across
-runs and machines.  For e = 1 the modulus is y itself and elements behave
-like integers mod p.
+runs and machines.  For e = 1 the modulus is y itself.
+
+An element is its code, the base-p integer c_0 + c_1*p + ... of its
+residue, an int in range(p^e); for e = 1 that is the integer mod p.  The
+maps of GaloisField.codes do the arithmetic, and parse and format convert
+at the edges.
 
 The absolute trace Tr(x) = x + x^p + ... + x^{p^{e-1}} lands in the prime
 field and is returned as a plain int; its kernel is exactly the image of
@@ -17,7 +21,6 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from collections.abc import Iterator
 
 
 class InternalMismatch(AssertionError):
@@ -192,15 +195,56 @@ def _is_irreducible(m: list[int], p: int) -> bool:
     )
 
 
+# Work guard on the modulus search, counted in candidates at a fixed cost
+# each, not in time.  Testing a candidate computes y^(p^e) mod m with
+# bit_length + bit_count of p^e products of degree-e polynomials (about
+# e log2 p of them), each near (e + 4)^2 steps with the loop overhead, so
+# about e^3 log p in all.  The scan can be long: for e = 3 and p = 2 mod 3
+# no binomial y^3 + c is irreducible, so it is linear in p.  At this bound
+# the slowest accepted search takes about 1 s (CPython 3.11, one core of a
+# 2-vCPU Xeon): GF(3011, 3) 0.6 s, GF(2, 32) 0.3 s, while GF(4007, 3),
+# GF(3, 48) and GF(2, 80) are refused.
+MAX_MODULUS_WORK = 10 ** 7
+
+
+class ModulusSearchTooLarge(PreconditionError):
+    """The search for the modulus of GF(p, e) exceeds MAX_MODULUS_WORK."""
+
+
 def _find_modulus(p: int, e: int) -> tuple[int, ...]:
     """Smallest irreducible monic modulus of degree e, in base-p order."""
     if e == 1:
         return (0, 1)
-    for high_first in itertools.product(range(p), repeat=e):  # c_0 varies fastest
-        cand = [*high_first[::-1], 1]
+    q = p ** e
+    cost = (e + 4) ** 2 * (q.bit_length() + q.bit_count())
+    for n in range(q):  # the candidate with code n: c_0 varies fastest
+        if (n + 1) * cost > MAX_MODULUS_WORK:
+            raise ModulusSearchTooLarge(
+                f"no irreducible modulus of degree {e} over F_{p} among the first {n} candidates; "
+                f"each costs {cost} steps and the search stops at {MAX_MODULUS_WORK}"
+            )
+        low = _digits(n, p)
+        cand = low + [0] * (e - len(low)) + [1]
         if _is_irreducible(cand, p):
             return tuple(cand)
     raise AssertionError("no irreducible polynomial found")  # unreachable
+
+
+def _digits(code: int, p: int) -> list[int]:
+    """The base-p digits of a code, low first: its coefficient list, trimmed."""
+    out = []
+    while code:
+        code, c = divmod(code, p)
+        out.append(c)
+    return out
+
+
+def _code(coeffs: list[int], p: int) -> int:
+    """The code c_0 + c_1*p + ... of a coefficient list, low first."""
+    n = 0
+    for c in reversed(coeffs):
+        n = n * p + c
+    return n
 
 
 class _Memo(dict):
@@ -218,155 +262,53 @@ class _Memo(dict):
 
 def _code_maps(F):
     """GaloisField.codes: the maps (add, neg, frobenius, pth_root, trace, mul)
-    on codes, the base-p encodings of GFElement.encode, for int-coded cores;
-    trace returns an int in {0, ..., p-1}.  Prime fields use integer
-    arithmetic mod p, where Frobenius, root and trace are the identity
-    (int); p = 2 adds by XOR and multiplies by AND.  Every other map is
-    memoized from the GFElement operation on first use, so no size-q table
-    is built up front.  Root and Frobenius are computed each on its own,
-    never one as the inverse of the other, so the witness check can catch a
-    wrong root."""
-    p = F.p
-    if F.e == 1:
+    on codes; trace returns an int in {0, ..., p-1}.  Prime fields use
+    integer arithmetic mod p, where Frobenius, root and trace are the
+    identity (int); p = 2 adds by XOR and multiplies by AND.  Every other
+    map is memoized on first use from the base-p digit lists of its
+    arguments, so no size-q table is built up front.  Root and Frobenius
+    are each computed on their own, never one as the inverse of the other,
+    so the witness check can catch a wrong root."""
+    p, e, m = F.p, F.e, list(F.modulus)
+    if e == 1:
         if p == 2:
             return operator.xor, int, int, int, int, operator.and_
         return (lambda a, b: (a + b) % p), (lambda a: -a % p), int, int, int, (lambda a, b: a * b % p)
 
     def memo(op):
-        return _Memo(lambda n: op(F.from_encoding(n))).__getitem__
+        return _Memo(lambda n: _code(op(_digits(n, p)), p)).__getitem__
 
     def memo2(op):
-        pairs = _Memo(lambda ab: op(F.from_encoding(ab[0]), F.from_encoding(ab[1])).encode())
+        pairs = _Memo(lambda ab: _code(op(_digits(ab[0], p), _digits(ab[1], p)), p))
         return lambda a, b: pairs[a, b]
+
+    def add_lists(x, y):
+        return [(a + b) % p for a, b in itertools.zip_longest(x, y, fillvalue=0)]
+
+    def power(k):
+        return memo(lambda x: _ppowmod(x, k, m, p))
+
+    def trace(x):
+        acc = t = x
+        for _ in range(e - 1):
+            t = _ppowmod(t, p, m, p)
+            acc = add_lists(acc, t)
+        if any(acc[1:]):
+            raise InternalMismatch(f"trace of {F.format(_code(x, p))} left the prime field")
+        return acc[:1]
 
     if p == 2:
         add, neg = operator.xor, int
     else:
-        add, neg = memo2(GFElement.__add__), memo(lambda x: (-x).encode())
-    frobenius, root = memo(lambda x: x.frobenius().encode()), memo(lambda x: x.pth_root().encode())
-    return add, neg, frobenius, root, memo(GFElement.trace), memo2(GFElement.__mul__)
-
-
-class GFElement:
-    """An element of a GaloisField, immutable."""
-
-    __slots__ = ("field", "coeffs")
-
-    def __init__(self, field: "GaloisField", coeffs: tuple[int, ...]):
-        self.field = field
-        self.coeffs = coeffs
-
-    # -- arithmetic --
-
-    def __add__(self, other):
-        other = self.field.coerce(other)
-        p = self.field.p
-        return GFElement(self.field, tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other):
-        other = self.field.coerce(other)
-        p = self.field.p
-        return GFElement(self.field, tuple((a - b) % p for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self):
-        p = self.field.p
-        return GFElement(self.field, tuple((-a) % p for a in self.coeffs))
-
-    def __mul__(self, other):
-        other = self.field.coerce(other)
-        F = self.field
-        prod = _pmul(list(self.coeffs), list(other.coeffs), F.p)
-        return F._from_list(_pmod(prod, list(F.modulus), F.p))
-
-    def __truediv__(self, other):
-        return self * self.field.coerce(other).inverse()
-
-    def __pow__(self, n: int):
-        F = self.field
-        if n < 0:
-            return self.inverse() ** (-n)
-        return F._from_list(_ppowmod(list(self.coeffs), n, list(F.modulus), F.p))
-
-    __radd__ = __add__
-
-    def __rsub__(self, other):
-        return self.field.coerce(other) - self
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "GFElement":
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero field element")
-        return self ** (self.field.order - 2)
-
-    # -- structure maps --
-
-    def frobenius(self) -> "GFElement":
-        return self ** self.field.p
-
-    def pth_root(self) -> "GFElement":
-        """Unique p-th root: inverse of Frobenius, x^(p^(e-1))."""
-        F = self.field
-        return self ** (F.p ** (F.e - 1))
-
-    def trace(self) -> int:
-        """Absolute trace into F_p, returned as an int in {0, ..., p-1}."""
-        acc = t = self
-        for _ in range(self.field.e - 1):
-            t = t.frobenius()
-            acc = acc + t
-        if any(acc.coeffs[1:]):
-            raise InternalMismatch(f"trace of {self} left the prime field")
-        return acc.coeffs[0]
-
-    # -- predicates / conversions --
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
-    def encode(self) -> int:
-        """Base-p integer encoding c_0 + c_1*p + ..., reproducible."""
-        n = 0
-        for c in reversed(self.coeffs):
-            n = n * self.field.p + c
-        return n
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            other = self.field.coerce(other)
-        return (
-            isinstance(other, GFElement)
-            and self.field == other.field
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.field, self.coeffs))
-
-    def __bool__(self):
-        return not self.is_zero()
-
-    def __str__(self):
-        if self.field.e == 1:
-            return str(self.coeffs[0])
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                parts.append(str(c))
-            elif i == 1:
-                parts.append("y" if c == 1 else f"{c}*y")
-            else:
-                parts.append(f"y^{i}" if c == 1 else f"{c}*y^{i}")
-        return "+".join(parts) if parts else "0"
-
-    def __repr__(self):
-        return f"GF({self.field.p},{self.field.e})({self})"
+        add, neg = memo2(add_lists), memo(lambda x: [-a % p for a in x])
+    mul = memo2(lambda x, y: _pmod(_pmul(x, y, p), m, p))
+    return add, neg, power(p), power(p ** (e - 1)), memo(trace), mul
 
 
 class GaloisField:
-    """The field F_{p^e}; construct via the cached factory GF(p, e)."""
+    """The field F_{p^e}; construct via the cached factory GF(p, e).
+
+    An element is its code, an int in range(order)."""
 
     def __init__(self, p: int, e: int):
         require_prime(p)
@@ -376,48 +318,10 @@ class GaloisField:
         self.e = e
         self.order = p ** e
         self.modulus = _find_modulus(p, e)
-        self.zero = GFElement(self, (0,) * e)
-        self.one = self.element(1)
         self.codes = _code_maps(self)
 
-    def element(self, value) -> GFElement:
-        """Build an element from an int (reduced mod p), an int list/tuple
-        of polynomial coefficients, or another element of this field."""
-        if isinstance(value, GFElement):
-            if value.field is not self:
-                raise ValueError("element of a different field")
-            return value
-        if isinstance(value, int):
-            return GFElement(self, (value % self.p,) + (0,) * (self.e - 1))
-        coeffs = [int(c) % self.p for c in value]
-        if len(coeffs) > self.e:
-            coeffs = _pmod(coeffs, list(self.modulus), self.p)
-        return self._from_list(coeffs)
-
-    coerce = element
-
-    def code(self, value) -> int:
-        """element(value).encode(); an int k is the code k mod p, built directly."""
-        return value % self.p if isinstance(value, int) else self.element(value).encode()
-
-    def _from_list(self, coeffs: list[int]) -> GFElement:
-        coeffs = coeffs + [0] * (self.e - len(coeffs))
-        return GFElement(self, tuple(coeffs[: self.e]))
-
-    def from_encoding(self, n: int) -> GFElement:
-        """Inverse of GFElement.encode."""
-        coeffs = []
-        for _ in range(self.e):
-            coeffs.append(n % self.p)
-            n //= self.p
-        return GFElement(self, tuple(coeffs))
-
-    def elements(self) -> Iterator[GFElement]:
-        """All q elements in the deterministic encoding order."""
-        return map(self.from_encoding, range(self.order))
-
-    def parse(self, text: str) -> GFElement:
-        """Parse '3' or a polynomial string 'a0+a1*y+a2*y^2' (minus allowed)."""
+    def parse(self, text: str) -> int:
+        """The code of '3' or of a polynomial string 'a0+a1*y+a2*y^2' (minus allowed)."""
         text = text.strip().replace(" ", "").replace("-", "+-")
         coeffs = [0] * self.e
         for term in text.split("+"):
@@ -436,7 +340,23 @@ class GaloisField:
             if k >= self.e:
                 raise PreconditionError(f"exponent y^{k} exceeds field degree {self.e - 1}")
             coeffs[k] = (coeffs[k] + sign * c) % self.p
-        return GFElement(self, tuple(coeffs))
+        return _code(coeffs, self.p)
+
+    def format(self, code: int) -> str:
+        """A code as parse reads it back: '3', or a polynomial like '2+y^2'."""
+        if self.e == 1:
+            return str(code)
+        parts = []
+        for i, c in enumerate(_digits(code, self.p)):
+            if c == 0:
+                continue
+            if i == 0:
+                parts.append(str(c))
+            elif i == 1:
+                parts.append("y" if c == 1 else f"{c}*y")
+            else:
+                parts.append(f"y^{i}" if c == 1 else f"{c}*y^{i}")
+        return "+".join(parts) if parts else "0"
 
     def __eq__(self, other):
         return (

@@ -5,14 +5,25 @@ exponent, negative ones included.  Nothing in the package needs a series
 known only to a finite precision: a cover class depends on the polar part
 alone, because the positive tail lies in the Artin-Schreier image.
 
-A code is the base-p integer of GFElement.encode; arithmetic runs on codes
-through GaloisField.codes, and GFElement appears only at the edges: the
-public constructor, ``coefficient`` and ``str``.
+Coefficients are codes, the ints in range(q) that stand for the elements
+of F_q (see gf); arithmetic runs on them through GaloisField.codes.
 """
 
 from __future__ import annotations
 
-from .gf import GaloisField, GFElement
+from .gf import GaloisField
+
+
+def nonzero_codes(field: GaloisField, coeffs) -> dict[int, int]:
+    """{int(key): code} for the nonzero codes of coeffs; ValueError unless
+    every value is a code of field, an int in range(field.order)."""
+    clean: dict[int, int] = {}
+    for key, c in (coeffs or {}).items():
+        if not (isinstance(c, int) and 0 <= c < field.order):
+            raise ValueError(f"coefficient {c!r} is not a code of {field}, an int in range({field.order})")
+        if c:
+            clean[int(key)] = c
+    return clean
 
 
 class LaurentSeries:
@@ -22,12 +33,7 @@ class LaurentSeries:
 
     def __init__(self, field: GaloisField, coeffs=None):
         self.field = field
-        clean: dict[int, int] = {}
-        for e, c in (coeffs or {}).items():
-            c = field.code(c)
-            if c:
-                clean[int(e)] = c
-        self.coeffs = clean
+        self.coeffs = nonzero_codes(field, coeffs)
 
     # -- constructors --
 
@@ -48,8 +54,8 @@ class LaurentSeries:
         """Smallest exponent with a nonzero coefficient, or None for zero."""
         return min(self.coeffs) if self.coeffs else None
 
-    def coefficient(self, e: int) -> GFElement:
-        return self.field.from_encoding(self.coeffs.get(e, 0))
+    def coefficient(self, e: int) -> int:
+        return self.coeffs.get(e, 0)
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -77,14 +83,9 @@ class LaurentSeries:
         return self + (-self._coerce(other))
 
     def __mul__(self, other):
-        F = self.field
-        mul = F.codes[5]
-        if isinstance(other, (int, GFElement)):
-            k = F.code(other)
-            terms = {e: mul(a, k) for e, a in self.coeffs.items()} if k else {}
-            return LaurentSeries._from_codes(F, terms)
         other = self._coerce(other)
-        add = F.codes[0]
+        F = self.field
+        add, mul = F.codes[0], F.codes[5]
         out: dict[int, int] = {}
         for e1, c1 in self.coeffs.items():
             for e2, c2 in other.coeffs.items():
@@ -117,7 +118,7 @@ class LaurentSeries:
             return "0"
         parts = []
         for e in self.support():
-            cs = str(self.field.from_encoding(self.coeffs[e]))
+            cs = self.field.format(self.coeffs[e])
             if "+" in cs or "-" in cs:
                 cs = f"({cs})"
             if e == 0:
@@ -132,15 +133,12 @@ class LaurentSeries:
         return f"LaurentSeries({self})"
 
 
-def artin_schreier(x):
-    """The Artin-Schreier operator x -> x^p - x on field elements or
-    polynomials.  On a polynomial the p-th power acts coefficient-wise
-    through Frobenius and stretches exponents by p.
+def artin_schreier(x: LaurentSeries) -> LaurentSeries:
+    """The Artin-Schreier operator x -> x^p - x on a polynomial: the p-th
+    power acts coefficient-wise through Frobenius and stretches exponents by p.
     """
-    if isinstance(x, GFElement):
-        return x ** x.field.p - x
-    if isinstance(x, LaurentSeries):
-        p, frobenius = x.field.p, x.field.codes[2]
-        power = {p * e: frobenius(c) for e, c in x.coeffs.items()}
-        return LaurentSeries._from_codes(x.field, power) - x
-    raise TypeError(f"unsupported operand {type(x).__name__}")
+    if not isinstance(x, LaurentSeries):
+        raise TypeError(f"unsupported operand {type(x).__name__}")
+    p, frobenius = x.field.p, x.field.codes[2]
+    power = {p * e: frobenius(c) for e, c in x.coeffs.items()}
+    return LaurentSeries._from_codes(x.field, power) - x

@@ -1,13 +1,18 @@
-"""Finite field towers: axioms by sampling, Frobenius, trace, p-th roots."""
+"""Finite field towers: axioms by sampling, Frobenius, trace, p-th roots.
+
+Elements are codes; sympy's galoistools (gf_reference) is the reference."""
 
 import random
 
 import pytest
 import sympy
 
+from gf_reference import Reference, is_irreducible
+from wildmckay import gf
 from wildmckay.gf import GF, MR_BOUND, PrimalityUnproven, is_prime, prime_power_decomposition
 
 FIELDS = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (5, 2), (7, 1)]
+REFERENCE_FIELDS = FIELDS + [(3, 3), (2, 4)]
 
 
 def test_primality_helpers():
@@ -51,21 +56,21 @@ def test_above_the_bound_no_guess():
     assert prime_power_decomposition(6 ** 40) is None
 
 
-@pytest.mark.parametrize("p,e", FIELDS + [(3, 3), (2, 4)])
+@pytest.mark.parametrize("p,e", REFERENCE_FIELDS)
 def test_code_maps_agree_with_elements(p, e):
+    # every code against the element arithmetic of sympy's galoistools
     F = GF(p, e)
+    ref = Reference(F)
     add, neg, frobenius, pth_root, trace, mul = F.codes
-    elems = list(F.elements())
     rng = random.Random(p * 31 + e)
-    for x in elems:
-        n = x.encode()
-        assert neg(n) == (-x).encode()
-        assert frobenius(n) == x.frobenius().encode()
-        assert pth_root(n) == x.pth_root().encode()
-        assert trace(n) == x.trace()
-        y = rng.choice(elems)
-        assert add(n, y.encode()) == (x + y).encode()
-        assert mul(n, y.encode()) == (x * y).encode()
+    for x in range(F.order):
+        assert neg(x) == ref.neg(x)
+        assert frobenius(x) == ref.frobenius(x)
+        assert pth_root(x) == ref.pth_root(x)
+        assert trace(x) == ref.trace(x)
+        y = rng.randrange(F.order)
+        assert add(x, y) == ref.add(x, y)
+        assert mul(x, y) == ref.mul(x, y)
 
 
 def test_prime_field_maps_build_no_table():
@@ -85,47 +90,75 @@ def test_modulus_is_deterministic_and_minimal():
     assert GF(2, 2) is GF(2, 2)
 
 
+@pytest.mark.parametrize("p,e", REFERENCE_FIELDS)
+def test_modulus_is_the_first_irreducible_candidate(p, e):
+    # sympy's irreducibility test on the modulus and on every monic
+    # candidate of degree e whose base-p code is smaller
+    modulus = GF(p, e).modulus
+    assert len(modulus) == e + 1 and modulus[-1] == 1
+    assert is_irreducible(modulus, p)
+    code = sum(c * p ** i for i, c in enumerate(modulus[:-1]))
+    for n in range(code):
+        low = [n // p ** i % p for i in range(e)]
+        assert not is_irreducible(low + [1], p)
+
+
+def test_modulus_guard_counts_candidates(monkeypatch):
+    # GF(3, 3) needs 1 + the code of its modulus candidates; the guard
+    # counts them at a fixed cost each, so the budget decides, not the clock
+    p, e = 3, 3
+    modulus = GF(p, e).modulus
+    tested = 1 + sum(c * p ** i for i, c in enumerate(modulus[:-1]))
+    cost = (e + 4) ** 2 * ((p ** e).bit_length() + (p ** e).bit_count())
+    monkeypatch.setattr(gf, "MAX_MODULUS_WORK", tested * cost)
+    assert gf._find_modulus(p, e) == modulus
+    monkeypatch.setattr(gf, "MAX_MODULUS_WORK", tested * cost - 1)
+    with pytest.raises(gf.ModulusSearchTooLarge, match=f"among the first {tested - 1} candidates"):
+        gf._find_modulus(p, e)
+    assert issubclass(gf.ModulusSearchTooLarge, gf.PreconditionError)
+
+
 @pytest.mark.parametrize("p,e", FIELDS)
 def test_field_axioms_by_sampling(p, e):
     F = GF(p, e)
+    add, neg, _, _, _, mul = F.codes
     rng = random.Random(p * 100 + e)
-    elems = list(F.elements())
-    assert len(elems) == p ** e
-    assert len({x.encode() for x in elems}) == p ** e
     for _ in range(40):
-        a, b, c = (rng.choice(elems) for _ in range(3))
-        assert a + b == b + a
-        assert a * b == b * a
-        assert (a + b) * c == a * c + b * c
-        assert a + F.zero == a
-        assert a * F.one == a
-        assert (a - a).is_zero()
-        if not b.is_zero():
-            assert (a / b) * b == a
+        a, b, c = (rng.randrange(F.order) for _ in range(3))
+        assert add(a, b) == add(b, a)
+        assert mul(a, b) == mul(b, a)
+        assert mul(add(a, b), c) == add(mul(a, c), mul(b, c))
+        assert add(a, 0) == a
+        assert mul(a, 1) == a
+        assert add(a, neg(a)) == 0
+        if b:
+            inverse = next(x for x in range(F.order) if mul(b, x) == 1)
+            assert mul(mul(a, inverse), b) == a
 
 
 @pytest.mark.parametrize("p,e", FIELDS)
 def test_frobenius_is_additive_automorphism(p, e):
     F = GF(p, e)
+    add, _, frobenius, _, _, mul = F.codes
     rng = random.Random(17)
-    elems = list(F.elements())
     for _ in range(25):
-        a, b = rng.choice(elems), rng.choice(elems)
-        assert (a + b).frobenius() == a.frobenius() + b.frobenius()
-        assert (a * b).frobenius() == a.frobenius() * b.frobenius()
+        a, b = rng.randrange(F.order), rng.randrange(F.order)
+        assert frobenius(add(a, b)) == add(frobenius(a), frobenius(b))
+        assert frobenius(mul(a, b)) == mul(frobenius(a), frobenius(b))
 
 
 @pytest.mark.parametrize("p,e", FIELDS)
 def test_pth_root_total(p, e):
     F = GF(p, e)
-    for x in F.elements():
-        assert x.pth_root() ** p == x
+    _, _, frobenius, pth_root, _, _ = F.codes
+    for x in range(F.order):
+        assert frobenius(pth_root(x)) == x
 
 
 @pytest.mark.parametrize("p,e", FIELDS)
 def test_trace_lands_in_prime_field_and_kernel_size(p, e):
     F = GF(p, e)
-    traces = [x.trace() for x in F.elements()]
+    traces = [F.codes[4](x) for x in range(F.order)]
     assert all(0 <= t < p for t in traces)
     # the trace kernel is the Artin-Schreier image, of index p
     assert sum(1 for t in traces if t == 0) == p ** e // p
@@ -134,29 +167,42 @@ def test_trace_lands_in_prime_field_and_kernel_size(p, e):
 @pytest.mark.parametrize("p,e", FIELDS)
 def test_artin_schreier_image_has_trace_zero(p, e):
     F = GF(p, e)
-    for x in F.elements():
-        assert (x ** p - x).trace() == 0
+    add, neg, frobenius, _, trace, _ = F.codes
+    for x in range(F.order):
+        assert trace(add(frobenius(x), neg(x))) == 0
 
 
 def test_parse_and_str_round_trip():
+    # str of an element is now GaloisField.format of its code
+    for p, e in [(3, 2), (2, 3), (5, 2)]:
+        F = GF(p, e)
+        for x in range(F.order):
+            assert F.parse(F.format(x)) == x
     F = GF(3, 2)
-    for x in F.elements():
-        assert F.parse(str(x)) == x
-    assert F.parse("2+y") == F.element([2, 1])
-    assert F.parse("-1") == F.element(2)
+    assert F.format(0) == "0" and F.format(5) == "2+y" and F.format(7) == "1+2*y"
+    assert F.parse("2+y") == 5 and F.parse("-1") == 2 and F.parse("y-y") == 0
+    assert GF(2, 3).format(6) == "y+y^2"
+    assert GF(7).format(6) == "6" and GF(7).parse("-1") == 6
 
 
 def test_encoding_round_trip():
+    # an element is its base-p encoding c_0 + c_1*p + ...
     F = GF(5, 2)
-    for x in F.elements():
-        assert F.from_encoding(x.encode()) == x
+    for x in range(F.order):
+        digits = gf._digits(x, F.p)
+        assert gf._code(digits, F.p) == x
+        assert digits == [] or digits[-1] != 0
+        c0, c1 = x % 5, x // 5
+        assert F.parse(f"{c0}+{c1}*y") == x
 
 
 @pytest.mark.parametrize("p,e", [(2, 3), (3, 2), (5, 2)])
 def test_power_equals_repeated_product(p, e):
+    # sympy's powers against repeated products of the mul map
     F = GF(p, e)
-    for x in F.elements():
-        acc = F.one
+    ref, mul = Reference(F), F.codes[5]
+    for x in range(F.order):
+        acc = 1
         for n in range(64):
-            assert x ** n == acc
-            acc = acc * x
+            assert ref.power(x, n) == acc
+            acc = mul(acc, x)
