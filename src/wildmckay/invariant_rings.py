@@ -8,28 +8,57 @@ indecomposable action at odd p, the hypersurface for the sum of two
 2-dimensional summands at p = 2, and the Jacobian-determinant computation
 in the reflection case.
 
-Polynomials are dicts {exponent vector: nonzero coefficient mod p} over an
-ordered variable tuple; residuals print in graded-lex order.
+Polynomials are dicts {packed monomial: nonzero coefficient mod p} over an
+ordered variable tuple; residuals print in graded-lex order.  A monomial
+x_0^e_0 x_1^e_1 ... packs into the int e_0 + e_1 2^B + e_2 2^(2B) + ...
+(Monagan and Pearce, ACM CCA 44 (2010)), so a product of monomials is one
+int addition and products run through motivic._mul_terms.
 """
 
 from __future__ import annotations
 
 import math
-from operator import add
 
 from .gf import PreconditionError, binary_power, is_prime, require_prime
+from .motivic import _mul_terms
 
-# Work guard of verify_dim3_relation: its work grows about as p^4, from
-# 0.06 s at p = 31 to 3 s at p = 101 and 8 s at p = 127 (in-process, on a
-# shared 2-vCPU machine), so larger p exits 2 instead of running for minutes.
+# Work guard of verify_dim3_relation: its work grows about as p^3, from
+# 0.015 s at p = 31 to 0.38 s at p = 101 and 0.96 s at p = 151 (in-process,
+# on a shared 2-vCPU machine).  The guard was set when p = 101 took 3 s and
+# p = 127 took 8 s; larger p still exits 2.
 MAX_V3_PRIME = 101
-# Work guards of reflection_jacobian_check: its work grows about as
-# p^2 (1 + d/11) + d^3.  At d = 2, p = 4099 takes 6 s; at p = 3, d = 300 takes
-# 1.3 s and d near 1000 recurses too deep; p = 2477 with d = 400 takes 72 s.
-# The largest accepted call, p = 997 with d = 100, takes 3.1 s, about as long
-# as verify_dim3_relation at p = 101 (2.2-2.8 s on the same machine).
+# Work guards of reflection_jacobian_check: its work grows about as d^3 and
+# barely with p, since x + y is raised to the p-th power by stretching keys:
+# (x + y)^p = x^p + y^p.  At d = 2, p = 4099 takes under 1 ms; at p = 3,
+# d = 300 takes 1.1 s and d near 1000 recurses too deep; p = 2477 with d = 400
+# takes 3 s.  The largest accepted call, p = 997 with d = 100, takes 0.05 s.
 MAX_REFLECTION_PRIME = 1000
 MAX_REFLECTION_DIM = 100
+
+
+# Bits per exponent field of a packed monomial.  Every term keeps its total
+# degree below _MASK = 2^_B - 1, so no field carries into the next, and since
+# 2^_B = 1 mod _MASK, key % _MASK is the total degree of the term.
+_B = 32
+_MASK = (1 << _B) - 1
+
+
+def _pack(mono: tuple[int, ...]) -> int:
+    key = 0
+    for e in reversed(mono):
+        key = key << _B | e
+    return key
+
+
+def _degree(terms: dict[int, int]) -> int:
+    """Total degree of a polynomial's terms, 0 for the zero polynomial."""
+    return max(map(_MASK.__rmod__, terms), default=0)
+
+
+def _require_degree(degree: int, what: str) -> None:
+    if degree >= _MASK:
+        raise PreconditionError(f"{what} of degree up to {degree} is at least 2^{_B} - 1, "
+                                f"which packed monomials cannot hold")
 
 
 class RelationTooLarge(PreconditionError):
@@ -43,23 +72,26 @@ class MultiPoly:
     __slots__ = ("p", "vars", "terms")
 
     def __init__(self, p: int, vars: tuple[str, ...], terms=None):
+        """terms maps exponent tuples, one entry per variable, to integer
+        coefficients; they are packed, reduced mod p and cleaned of zeros."""
         self.p = p
         self.vars = tuple(vars)
-        clean: dict[tuple[int, ...], int] = {}
+        clean: dict[int, int] = {}
         for mono, c in (terms or {}).items():
-            c = int(c) % p
-            if c == 0:
-                continue
             mono = tuple(int(e) for e in mono)
             if len(mono) != len(self.vars):
                 raise ValueError("exponent vector length mismatch")
-            clean[mono] = c
+            if min(mono, default=0) < 0 or sum(mono) >= _MASK:
+                raise PreconditionError(f"exponent vector {mono} is negative or of total degree at least 2^{_B} - 1")
+            c = int(c) % p
+            if c:
+                clean[_pack(mono)] = c
         self.terms = clean
 
     @classmethod
     def _of(cls, p: int, vars: tuple[str, ...], terms: dict) -> "MultiPoly":
         """Wrap terms that are already clean: coefficients reduced mod p and
-        nonzero, exponent tuples of the right length."""
+        nonzero, packed keys of total degree below 2^_B - 1."""
         poly = object.__new__(cls)
         poly.p, poly.vars, poly.terms = p, vars, terms
         return poly
@@ -68,14 +100,13 @@ class MultiPoly:
 
     @classmethod
     def constant(cls, p: int, vars, c: int) -> "MultiPoly":
-        return cls(p, vars, {(0,) * len(vars): c})
+        c %= p
+        return cls._of(p, tuple(vars), {0: c} if c else {})
 
     @classmethod
     def variable(cls, p: int, vars, name: str) -> "MultiPoly":
         vars = tuple(vars)
-        mono = [0] * len(vars)
-        mono[vars.index(name)] = 1
-        return cls(p, vars, {tuple(mono): 1})
+        return cls._of(p, vars, {1 << _B * vars.index(name): 1})
 
     @classmethod
     def gens(cls, p: int, vars) -> list["MultiPoly"]:
@@ -104,7 +135,8 @@ class MultiPoly:
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly(self.p, self.vars, {m: -c for m, c in self.terms.items()})
+        p = self.p
+        return MultiPoly._of(p, self.vars, {m: p - c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-self._check(other))
@@ -114,21 +146,28 @@ class MultiPoly:
 
     def __mul__(self, other):
         other = self._check(other)
-        out: dict[tuple[int, ...], int] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = tuple(map(add, m1, m2))
-                s = (out.get(m, 0) + c1 * c2) % self.p
-                if s:
-                    out[m] = s
-                else:
-                    out.pop(m, None)
-        return MultiPoly._of(self.p, self.vars, out)
+        _require_degree(_degree(self.terms) + _degree(other.terms), "product")
+        p, out = self.p, _mul_terms(self.terms, other.terms)
+        return MultiPoly._of(p, self.vars, {m: r for m, c in out.items() if (r := c % p)})
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        return binary_power(self, n, MultiPoly.constant(self.p, self.vars, 1))
+        """self ** n from the base-p digits of n: over F_p, f^p has the terms
+        {p k: c}, so each digit powers one stretched base, by
+        gf.binary_power, and no product involves the constant 1."""
+        if n < 0:
+            raise ValueError(f"negative exponent {n}")
+        _require_degree(n * _degree(self.terms), "power")
+        p, base, result = self.p, self, None
+        while n:
+            n, digit = divmod(n, p)
+            if digit:
+                power = binary_power(base, digit, None)
+                result = power if result is None else result * power
+            if n:
+                base = MultiPoly._of(p, self.vars, {m * p: c for m, c in base.terms.items()})
+        return MultiPoly.constant(p, self.vars, 1) if result is None else result
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -151,53 +190,56 @@ class MultiPoly:
         """Ring homomorphism sending each variable to its image (variables
         missing from the map must not occur).
 
-        Monomials are visited sorted by their exponent vector read from the
-        last variable, and each variable keeps one running power: a rising
-        exponent steps it up by the gap, a falling one rebuilds it."""
+        Monomials are visited in increasing key order, which is their
+        exponent vector read from the last variable, and each variable
+        keeps one running power: a rising exponent steps it up by the gap,
+        a falling one rebuilds it, and so does a multiple of p, since
+        image ** (k p) costs only image ** k."""
         if not images:
             raise ValueError("substitution requires at least one image")
         target = next(iter(images.values()))
-        result = MultiPoly._of(target.p, target.vars, {})
+        p = target.p
+        out: dict[int, int] = {}
         powers: dict[str, tuple[int, MultiPoly]] = {}
-        for mono in sorted(self.terms, key=lambda m: m[::-1]):
-            term = MultiPoly.constant(target.p, target.vars, self.terms[mono])
-            for name, e in zip(self.vars, mono):
+        for mono in sorted(self.terms):
+            term = None
+            rest = mono
+            for name in self.vars:
+                if not rest:
+                    break
+                e = rest & _MASK
+                rest >>= _B
                 if e == 0:
                     continue
                 if name not in images:
                     raise ValueError(f"no image provided for occurring variable {name}")
                 have, power = powers.get(name, (0, None))
-                if have and e > have:
+                if have and e > have and e % p:
                     power = power * images[name] ** (e - have)
                 elif e != have:
                     power = images[name] ** e
                 powers[name] = (e, power)
-                term = term * power
-            result = result + term
-        return result
+                term = power if term is None else term * power
+            c = self.terms[mono]
+            for m, t in (term.terms if term is not None else {0: 1}).items():
+                out[m] = out.get(m, 0) + c * t
+        return MultiPoly._of(p, target.vars, {m: r for m, c in out.items() if (r := c % p)})
 
     def derivative(self, name: str) -> "MultiPoly":
         """Formal partial derivative."""
-        idx = self.vars.index(name)
-        out: dict[tuple[int, ...], int] = {}
-        for mono, c in self.terms.items():
-            e = mono[idx]
-            if e == 0:
-                continue
-            m = list(mono)
-            m[idx] = e - 1
-            m = tuple(m)
-            s = (out.get(m, 0) + c * e) % self.p
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-        return MultiPoly._of(self.p, self.vars, out)
+        shift = _B * self.vars.index(name)
+        p, out = self.p, {}
+        for m, c in self.terms.items():
+            if s := c * (m >> shift & _MASK) % p:
+                out[m - (1 << shift)] = s
+        return MultiPoly._of(p, self.vars, out)
 
     # -- display (graded lex on the declared variable order) --
 
     def _sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: (-sum(kv[0]), tuple(-e for e in kv[0])))
+        n = len(self.vars)
+        monos = [(tuple(m >> _B * i & _MASK for i in range(n)), c) for m, c in self.terms.items()]
+        return sorted(monos, key=lambda kv: (-sum(kv[0]), tuple(-e for e in kv[0])))
 
     def __str__(self):
         if not self.terms:
@@ -237,11 +279,10 @@ class GroupAction:
 
     def norm(self, f: MultiPoly) -> MultiPoly:
         """prod_{k=0}^{p-1} sigma^k(f); always invariant."""
-        result = MultiPoly.constant(self.p, self.vars, 1)
-        g = f
-        for _ in range(self.p):
-            result = result * g
+        result = g = f
+        for _ in range(self.p - 1):
             g = g.substitute(self.images)
+            result = result * g
         return result
 
 
@@ -308,7 +349,7 @@ def verify_dim3_relation(p: int) -> dict:
         raise PreconditionError("an odd prime is required")
     if p > MAX_V3_PRIME:
         raise RelationTooLarge(f"p = {p} is above the work guard of {MAX_V3_PRIME} for the v3 relation, "
-                               f"whose work grows as p^4")
+                               f"whose work grows as p^3")
     act, x, y, z = dim3_action(p)
     n_y = act.norm(y)
     n_z = act.norm(z)
@@ -361,7 +402,7 @@ def reflection_jacobian_check(p: int, d: int) -> dict:
         raise PreconditionError("dimension must be at least 2")
     if p > MAX_REFLECTION_PRIME or d > MAX_REFLECTION_DIM:
         raise RelationTooLarge(f"p = {p}, d = {d} is above the work guard of p <= {MAX_REFLECTION_PRIME}, "
-                               f"d <= {MAX_REFLECTION_DIM} for the reflection check, whose work grows as p^2 d + d^3")
+                               f"d <= {MAX_REFLECTION_DIM} for the reflection check, whose work grows as d^3")
     names = ("x", "y") + tuple(f"z{i + 1}" for i in range(d - 2))
     gens = MultiPoly.gens(p, names)
     x, y = gens[0], gens[1]

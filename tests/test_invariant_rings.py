@@ -3,8 +3,12 @@
 import random
 
 import pytest
+import sympy
 
+from wildmckay.gf import PreconditionError
 from wildmckay.invariant_rings import (
+    _B,
+    _MASK,
     MAX_REFLECTION_DIM,
     MAX_REFLECTION_PRIME,
     jacobian_determinant,
@@ -22,6 +26,11 @@ from wildmckay.invariant_rings import (
     verify_dim22_relation,
     verify_dim3_relation,
 )
+
+
+def unpack(key, n):
+    """The exponent tuple of a packed monomial, variable 0 in the low bits."""
+    return tuple(key >> _B * i & _MASK for i in range(n))
 
 
 def random_poly(rng, p, names, max_deg=3, max_terms=4):
@@ -50,7 +59,8 @@ class TestMultiPoly:
         assert (x + y) ** 3 == x ** 3 + y ** 3
 
     def test_constructor_cleans_and_ring_results_stay_clean(self):
-        assert MultiPoly(3, ("x",), {(1,): 3, (2,): -2}).terms == {(2,): 1}
+        assert MultiPoly(3, ("x",), {(1,): 3, (2,): -2}).terms == {2: 1}
+        assert MultiPoly(5, ("x", "y"), {(2, 1): 6, (0, 3): 5, (0, 0): -1}).terms == {2 + (1 << _B): 1, 0: 4}
         with pytest.raises(ValueError, match="length mismatch"):
             MultiPoly(3, ("x", "y"), {(1,): 1})
         rng = random.Random(7)
@@ -58,9 +68,9 @@ class TestMultiPoly:
         images = {"x": MultiPoly.gens(3, names)[1], "y": random_poly(rng, 3, names)}
         for _ in range(20):
             f, g = random_poly(rng, 3, names), random_poly(rng, 3, names)
-            for r in (f + g, f - g, f * g, f.substitute(images), f.derivative("x")):
-                assert r.terms == MultiPoly(3, names, r.terms).terms
-                assert all(0 < c < 3 and type(e) is tuple for e, c in r.terms.items())
+            for r in (f + g, f - g, -f, f * g, f ** 4, f.substitute(images), f.derivative("x")):
+                assert r.terms == MultiPoly(3, names, {unpack(k, 2): c for k, c in r.terms.items()}).terms
+                assert all(0 < c < 3 and type(k) is int and k >= 0 for k, c in r.terms.items())
 
     def test_substitution_is_ring_hom(self):
         rng = random.Random(5)
@@ -84,14 +94,16 @@ class TestMultiPoly:
             want = MultiPoly(p, targets)
             for mono, c in f.terms.items():
                 term = MultiPoly.constant(p, targets, c)
-                for name, e in zip(names, mono):
+                for name, e in zip(names, unpack(mono, 3)):
                     for _ in range(e):
                         term = term * images[name]
                 want = want + term
             assert f.substitute(images) == want
-            # the visit order (exponents read from the last variable) makes
-            # the leading variables' exponents both rise and fall
-            order = sorted(f.terms, key=lambda m: m[::-1])
+            # the visit order (increasing keys, which is the exponents read
+            # from the last variable) makes the leading variables' exponents
+            # both rise and fall
+            order = [unpack(k, 3) for k in sorted(f.terms)]
+            assert order == sorted(order, key=lambda m: m[::-1])
             steps = [(a[0], b[0]) for a, b in zip(order, order[1:]) if a[0] and b[0]]
             rises += any(a < b for a, b in steps)
             falls += any(a > b for a, b in steps)
@@ -106,6 +118,35 @@ class TestMultiPoly:
             got = (f * g).derivative("y")
             want = f * g.derivative("y") + g * f.derivative("y")
             assert got == want
+
+    def test_frobenius_powers_form_no_product(self, monkeypatch):
+        # over F_p, f^(p^k) has the terms {p^k key: c}: stretched, not multiplied
+        x, y, z = MultiPoly.gens(3, ("x", "y", "z"))
+        products = []
+        mul = MultiPoly.__mul__
+        monkeypatch.setattr(MultiPoly, "__mul__", lambda a, b: products.append(1) or mul(a, b))
+        assert (x + 2 * y + z) ** 27 == x ** 27 + 2 * y ** 27 + z ** 27
+        assert products == []
+        assert (x + y) ** 0 == 1 and MultiPoly(3, ("x", "y", "z")) ** 5 == 0
+
+    def test_packed_degree_guard(self):
+        names = ("x", "y")
+        x, y = MultiPoly.gens(2, names)
+        top = MultiPoly(2, names, {(_MASK - 1, 0): 1})
+        assert str(top) == f"x^{_MASK - 1}"
+        assert MultiPoly(2, names, {(2 ** 31, 2 ** 31 - 2): 1}) == x ** 2 ** 31 * y ** (2 ** 31 - 2)
+        for mono in ((-1, 0), (0, _MASK), (2 ** 31, 2 ** 31 - 1)):
+            with pytest.raises(PreconditionError):
+                MultiPoly(2, names, {mono: 1})
+        # products and powers: total degree 2^B - 2 is accepted, 2^B - 1 refused
+        assert x ** (_MASK - 1) == top
+        assert x ** 5 * x ** (_MASK - 6) == top
+        assert (x * y) ** ((_MASK - 1) // 2) == MultiPoly(2, names, {((_MASK - 1) // 2,) * 2: 1})
+        for make in (lambda: x ** _MASK, lambda: top * x, lambda: top * y,
+                     lambda: (x * y) ** ((_MASK + 1) // 2), lambda: (top + 1).substitute({"x": x * y, "y": y})):
+            with pytest.raises(PreconditionError):
+                make()
+        assert MultiPoly.constant(2, names, 1) ** 10 ** 30 == 1
 
     def test_graded_lex_printing(self):
         x, y = MultiPoly.gens(7, ("x", "y"))
@@ -173,7 +214,8 @@ class TestDim3Relation:
         assert verify_dim3_relation(p)["ok"]
 
     def test_p31_monomial_products(self, monkeypatch):
-        # 182 722 while substitute powered each image anew for every term
+        # 182 722 while substitute powered each image anew for every term,
+        # 41 470 before Frobenius powers and the scalar pass in substitute
         products = []
         mul = MultiPoly.__mul__
 
@@ -183,7 +225,7 @@ class TestDim3Relation:
 
         monkeypatch.setattr(MultiPoly, "__mul__", counting)
         assert verify_dim3_relation(31)["ok"]
-        assert sum(products) <= 45_000
+        assert sum(products) <= 20_000
 
     def test_p3_specialization(self):
         X, Y, Z, W = MultiPoly.gens(3, ("X", "Y", "Z", "W"))
@@ -245,6 +287,20 @@ class TestReflectionJacobian:
         y3 = MultiPoly.variable(3, ("x", "y"), "y")
         assert r32["determinant"] == -(y3 ** 2)
 
+    def test_p997_monomial_products(self, monkeypatch):
+        # 412 836 while x + y was powered by repeated squaring
+        products = []
+        mul = MultiPoly.__mul__
+
+        def counting(a, b):
+            products.append(len(a.terms) * len(b.terms))
+            return mul(a, b)
+
+        monkeypatch.setattr(MultiPoly, "__mul__", counting)
+        result = reflection_jacobian_check(997, 97)
+        assert result["invariance_ok"] and result["det_ok"]
+        assert sum(products) <= 1_000
+
     def test_work_guards(self):
         assert reflection_jacobian_check(3, MAX_REFLECTION_DIM)["det_ok"]
         assert reflection_jacobian_check(997, 2)["det_ok"]  # the largest prime below MAX_REFLECTION_PRIME
@@ -260,3 +316,40 @@ class TestReflectionJacobian:
         x, y = MultiPoly.gens(p, names)
         det = jacobian_determinant([x ** p - x * y ** (p - 1) + x, y], names)
         assert det != y ** (p - 1) and det != -(y ** (p - 1))
+
+
+class TestSympyOracle:
+    """Products, powers and derivatives against sympy.Poly over GF(p)."""
+
+    NAMES = ("x", "y", "z")
+
+    def to_sympy(self, f):
+        n = len(self.NAMES)
+        return sympy.Poly.from_dict({unpack(k, n): c for k, c in f.terms.items()} or {(0,) * n: 0},
+                                    *sympy.symbols(self.NAMES), modulus=f.p)
+
+    def assert_agrees(self, f, want):
+        # sympy keeps residues symmetric about 0
+        assert {unpack(k, 3): c for k, c in f.terms.items()} == {
+            m: int(c) % f.p for m, c in want.as_dict().items() if int(c) % f.p
+        }
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_products_and_derivatives(self, p):
+        rng = random.Random(100 + p)
+        for _ in range(15):
+            f = random_poly(rng, p, self.NAMES, max_deg=4, max_terms=6)
+            g = random_poly(rng, p, self.NAMES, max_deg=4, max_terms=6)
+            self.assert_agrees(f * g, self.to_sympy(f) * self.to_sympy(g))
+            for name in self.NAMES:
+                self.assert_agrees(f.derivative(name), self.to_sympy(f).diff(sympy.Symbol(name)))
+
+    @pytest.mark.parametrize("p,exponents", [(2, (3, 5, 6, 11)), (3, (4, 7, 10, 14)), (5, (6, 11, 27)), (7, (8, 15))])
+    def test_powers(self, p, exponents):
+        rng = random.Random(200 + p)
+        for n in exponents:
+            digits = [n // p ** i % p for i in range(n.bit_length())]
+            assert sum(1 for d in digits if d) >= 2
+            for _ in range(3):
+                f = random_poly(rng, p, self.NAMES, max_deg=2, max_terms=3)
+                self.assert_agrees(f ** n, self.to_sympy(f) ** n)
