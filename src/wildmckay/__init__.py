@@ -10,7 +10,7 @@ brute-force verification of the known invariant-ring presentations
 command.
 """
 
-from .covers import ASCoverClass, RepPoly, count_extensions, count_rep_covers, enumerate_covers, reduce, verify_jump
+from .covers import ASCoverClass, count_extensions, count_rep_covers, enumerate_covers, reduce, verify_jump
 from .gf import GF
 from .laurent import LaurentSeries, artin_schreier
 from .motivic import L, MotivicValue, geometric_sum
@@ -36,7 +36,6 @@ __all__ = [
     "L",
     "LaurentSeries",
     "MotivicValue",
-    "RepPoly",
     "RepType",
     "artin_schreier",
     "count_extensions",

@@ -45,77 +45,36 @@ class CountTooLarge(PreconditionError):
     """A stratum count's size bound exceeds MAX_COUNT_BITS."""
 
 
-class RepPoly:
-    """Representative polynomial sum_i f_{-i} t^{-i}: i > 0, gcd(i, p) = 1; coeffs are {i: code}."""
+class ASCoverClass:
+    """Normal form of a degree-p cover of the punctured formal disk: the
+    representative polynomial sum_i f_{-i} t^{-i}, coeffs {i: code} with
+    every i positive and coprime to p, plus a constant class in F_p."""
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "coeffs", "const_class")
 
-    def __init__(self, field: GaloisField, coeffs=None):
-        self.field = field
-        self.coeffs = nonzero_codes(field, coeffs)
-        for i in self.coeffs:
+    def __init__(self, field: GaloisField, coeffs=None, const_class: int = 0):
+        coeffs = nonzero_codes(field, coeffs)
+        for i in coeffs:
             if i <= 0 or i % field.p == 0:
                 raise ValueError(f"exponent index {i} must be positive and coprime to {field.p}")
+        self.field, self.coeffs, self.const_class = field, coeffs, const_class % field.p
 
-    @property
-    def jump(self) -> int:
-        """Largest exponent index (0 for the zero polynomial)."""
-        return max(self.coeffs) if self.coeffs else 0
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def as_series(self) -> LaurentSeries:
-        return LaurentSeries._from_codes(self.field, {-i: c for i, c in self.coeffs.items()})
-
-    def key(self) -> tuple:
-        """Deterministic sort/hash key."""
-        return tuple(sorted(self.coeffs.items()))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, RepPoly)
-            and self.field == other.field
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.field, self.key()))
-
-    def __str__(self):
-        return str(self.as_series())
-
-    def __repr__(self):
-        return f"RepPoly({self})"
-
-    def to_json(self) -> dict:
-        prime = self.field.e == 1
-        return {
-            "terms": [
-                [i, c if prime else self.field.format(c)]
-                for i, c in sorted(self.coeffs.items())
-            ]
-        }
-
-
-class ASCoverClass:
-    """Normal form of a degree-p cover of the punctured formal disk."""
-
-    __slots__ = ("rep", "const_class")
-
-    def __init__(self, rep: RepPoly, const_class: int):
-        self.rep = rep
-        self.const_class = const_class % rep.field.p
-
-    @property
-    def field(self) -> GaloisField:
-        return self.rep.field
+    @classmethod
+    def _of(cls, field: GaloisField, coeffs: dict[int, int], const_class: int) -> "ASCoverClass":
+        """A class from the core's output, {index: nonzero code} and a
+        trace in range(p), taken as is."""
+        obj = object.__new__(cls)
+        obj.field, obj.coeffs, obj.const_class = field, coeffs, const_class
+        return obj
 
     @property
     def jump(self) -> int:
         """The unique break of the higher ramification filtration: minus the
         order of the representative polynomial, 0 for unramified covers."""
-        return self.rep.jump
+        return max(self.coeffs) if self.coeffs else 0
+
+    def _polar(self) -> dict[int, int]:
+        return {-i: c for i, c in self.coeffs.items()}
 
     def lift(self) -> LaurentSeries:
         """A Laurent polynomial in the class: rep plus the first constant, in
@@ -123,34 +82,35 @@ class ASCoverClass:
         The trace is F_p-linear: for the least i with tr(y^i) != 0, all
         codes below p^i have trace 0, so that constant is t/tr(y^i) * y^i."""
         F, t, tr = self.field, self.const_class, self.field.codes[4]
-        coeffs = {-i: c for i, c in self.rep.coeffs.items()}
+        coeffs = self._polar()
         if t:
             i = next(i for i in range(F.e) if tr(F.p ** i))
             coeffs[0] = t * pow(tr(F.p ** i), -1, F.p) % F.p * F.p ** i
         return LaurentSeries._from_codes(F, coeffs)
 
     def key(self) -> tuple:
-        return (self.rep.key(), self.const_class)
+        """Deterministic sort/hash key: (sorted (index, code) pairs, const_class)."""
+        return (tuple(sorted(self.coeffs.items())), self.const_class)
 
     def __eq__(self, other):
         return (
             isinstance(other, ASCoverClass)
-            and self.rep == other.rep
+            and self.field == other.field
+            and self.coeffs == other.coeffs
             and self.const_class == other.const_class
         )
 
     def __hash__(self):
-        return hash((self.rep, self.const_class))
+        return hash((self.field, self.key()))
 
     def __repr__(self):
-        return f"ASCoverClass(rep={self.rep}, const_class={self.const_class})"
+        rep = LaurentSeries._from_codes(self.field, self._polar())
+        return f"ASCoverClass(rep={rep}, const_class={self.const_class})"
 
     def to_json(self) -> dict:
-        return {
-            "rep": self.rep.to_json(),
-            "const_class": self.const_class,
-            "jump": self.jump,
-        }
+        prime = self.field.e == 1
+        terms = [[i, c if prime else self.field.format(c)] for i, c in sorted(self.coeffs.items())]
+        return {"rep": {"terms": terms}, "const_class": self.const_class, "jump": self.jump}
 
 
 # -- the int-coded reduction core ---------------------------------------------
@@ -200,12 +160,6 @@ def _witnesses_hold(F, f, rep, const, witnesses):
     return trace(g.pop(0, 0)) == const and {e: c for e, c in g.items() if c} == rep
 
 
-def _cover_class(F, rep, const):
-    poly = RepPoly(F)
-    poly.coeffs = {-e: c for e, c in rep.items()}
-    return ASCoverClass(poly, const)
-
-
 def reduce_with_witnesses(f: LaurentSeries) -> tuple[ASCoverClass, list[tuple[int, int]]]:
     """Normal form of f modulo the Artin-Schreier image, with the subtracted
     preimage witnesses as (exponent, code) monomials in the order
@@ -224,7 +178,7 @@ def reduce_with_witnesses(f: LaurentSeries) -> tuple[ASCoverClass, list[tuple[in
         raise PreconditionError(f"a term at an exponent of {bits} bits can need {bits * bits} bits of "
                                 f"witnesses, above the guard of {MAX_COUNT_BITS}")
     rep, const, witnesses = _reduce_codes(F, polar)
-    return _cover_class(F, rep, const), witnesses
+    return ASCoverClass._of(F, {-e: c for e, c in rep.items()}, const), witnesses
 
 
 def reduce(f: LaurentSeries) -> ASCoverClass:
@@ -234,10 +188,10 @@ def reduce(f: LaurentSeries) -> ASCoverClass:
 
 def witnesses_account_for(f: LaurentSeries, cls: ASCoverClass, witnesses) -> bool:
     """Check that f - sum w(c t^e) over the witness pairs (e, c) has negative
-    part cls.rep and constant-term trace cls.const_class.  (The positive
-    tail is absorbed implicitly and is not certified here.)"""
-    rep = {-i: c for i, c in cls.rep.coeffs.items()}
-    return _witnesses_hold(f.field, f.polar_codes(), rep, cls.const_class, witnesses)
+    part the class's representative polynomial and constant-term trace
+    cls.const_class.  (The positive tail is absorbed implicitly and is not
+    certified here.)"""
+    return _witnesses_hold(f.field, f.polar_codes(), cls._polar(), cls.const_class, witnesses)
 
 
 def uniformizer_params(p: int, j: int) -> tuple[int, int, int, int]:
@@ -364,9 +318,9 @@ class CensusReport:
     __slots__ = (
         "p", "q", "max_exp", "total_inputs", "class_count", "expected_class_count",
         "jump_histogram",  # rows [j, count, expected, ok]
-        "fiber_sizes",  # serialized class key -> fiber size
+        "fiber_sizes",  # class key -> fiber size, sorted by key
         "expected_fiber_size", "fibers_uniform", "witnesses_ok",
-        "classes",  # ASCoverClass, sorted
+        "classes",  # ASCoverClass, in the order of fiber_sizes
     )
 
     def __init__(self, **fields):
@@ -389,7 +343,7 @@ class CensusReport:
         out["all_ok"] = self.all_ok
         if list_forms:
             out["normal_forms"] = [c.to_json() for c in self.classes]
-            out["fiber_size_per_form"] = [self.fiber_sizes[c.key()] for c in self.classes]
+            out["fiber_size_per_form"] = list(self.fiber_sizes.values())
         return out
 
 
@@ -410,19 +364,15 @@ def enumerate_covers(q: int, max_exp: int, guard: int = 10 ** 7) -> CensusReport
     F = GF(p, e)
     exponents = range(-1, -max_exp - 1, -1)
     fibers = {}
-    class_by_key = {}
     witnesses_ok = True
     for combo in itertools.product(range(q), repeat=max_exp):
         f = {e: c for e, c in zip(exponents, combo) if c}
         rep, const, witnesses = _reduce_codes(F, f)
         witnesses_ok &= _witnesses_hold(F, f, rep, const, witnesses)
         k = (tuple(sorted((-e, c) for e, c in rep.items())), const)  # == ASCoverClass.key()
-        n = fibers.get(k)
-        if n is None:
-            class_by_key[k] = _cover_class(F, rep, const)
-            n = 0
-        fibers[k] = n + 1
-    classes = [class_by_key[k] for k in sorted(class_by_key)]
+        fibers[k] = fibers.get(k, 0) + 1
+    fibers = dict(sorted(fibers.items()))
+    classes = [ASCoverClass._of(F, dict(coeffs), const) for coeffs, const in fibers]
     hist = Counter(cls.jump for cls in classes)
     expected = {j: count_rep_covers(q, j) for j in range(max_exp + 1) if j == 0 or j % p}
     jump_rows = [[j, hist[j], n, hist[j] == n] for j, n in expected.items()]
@@ -436,7 +386,7 @@ def enumerate_covers(q: int, max_exp: int, guard: int = 10 ** 7) -> CensusReport
         class_count=len(classes),
         expected_class_count=q ** (max_exp - max_exp // p),
         jump_histogram=jump_rows,
-        fiber_sizes={k: v for k, v in sorted(fibers.items())},
+        fiber_sizes=fibers,
         expected_fiber_size=expected_fiber,
         fibers_uniform=fibers_uniform,
         witnesses_ok=witnesses_ok,

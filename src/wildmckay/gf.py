@@ -223,6 +223,8 @@ def _find_modulus(p: int, e: int) -> tuple[int, ...]:
                 f"no irreducible modulus of degree {e} over F_{p} among the first {n} candidates; "
                 f"each costs {cost} steps and the search stops at {MAX_MODULUS_WORK}"
             )
+        if n % p == 0:  # c_0 = 0: y divides the candidate
+            continue
         low = _digits(n, p)
         cand = low + [0] * (e - len(low)) + [1]
         if _is_irreducible(cand, p):

@@ -62,6 +62,22 @@ class PointCountTooLarge(PreconditionError):
     """A point count's unreduced size exceeds covers.MAX_COUNT_BITS."""
 
 
+# Work guard on the shift numbers, counted in floor terms: sht(1), ...,
+# sht(p-1) take (p - 1) * sum (d - 1) of them.  `stringy invariant` forms
+# that list four times and `stringy pointcount` once, and neither the degree
+# nor the output guard bounds it: unguarded, p = 65521 with dims 363 took
+# 11 s, p = 10^9 + 7 with dims 44722 did not finish, and a pointcount at
+# p = 30011 over 65000 summands of dimension 2 ran past 15 s.  At this bound
+# the slowest accepted `stringy invariant` takes about 1 s in a fresh process
+# (CPython 3.11, one core of a 2-vCPU Xeon): p = 997 with 997 summands of
+# dimension 2; p = 7937 with its smallest KLT dims 127 takes 0.45 s.
+MAX_SHIFT_WORK = 10 ** 6
+
+
+class ShiftWorkTooLarge(PreconditionError):
+    """The shift numbers sht(1), ..., sht(p-1) exceed MAX_SHIFT_WORK."""
+
+
 def _require_degree(degree: Rat) -> None:
     # over its lowest denominator r, the numerator counts units of L^(1/r)
     if (units := Fraction(degree).numerator) > MAX_DEGREE:
@@ -131,6 +147,12 @@ def shift_number(rep: RepType, j: int) -> int:
     return sum(i * j // rep.p for d in rep.dims for i in range(1, d))
 
 
+def _require_shift_work(rep: RepType) -> None:
+    if (work := (rep.p - 1) * sum(d - 1 for d in rep.dims)) > MAX_SHIFT_WORK:
+        raise ShiftWorkTooLarge(f"the shift numbers of p = {rep.p} take {work} floor terms, "
+                                f"above the work guard of {MAX_SHIFT_WORK}")
+
+
 def _require_stringily_klt(rep: RepType) -> None:
     # single source of truth: the series-convergence slope
     if (p_minus := rep.p - 1 - shift_slope(rep)) >= 0:
@@ -155,6 +177,7 @@ def _twisted_sum(rep: RepType, head: dict[int, int], coeff: dict[int, int]) -> M
     _require_stringily_klt(rep)
     ratio = rep.p - 1 - shift_slope(rep)
     _require_degree(rep.dim - ratio)
+    _require_shift_work(rep)
     den = {0: 1, ratio: -1}
     s_sum = Counter(s - shift_number(rep, s) for s in range(1, rep.p))
     num = _add_terms(_mul_terms(head, den), _mul_terms(coeff, s_sum))
@@ -223,6 +246,7 @@ def origin_fiber_point_count(rep: RepType, q: int) -> Fraction:
                                      f"{bits} bits, above the output guard of {MAX_COUNT_BITS}")
 
     guard(k + p)
+    _require_shift_work(rep)
     # (p-1)/p * N_{q,s} / q^sht(s) = (q-1) q^(s-1-sht(s)), and the jump np+s
     # scales it by q^(-kn); scaled by q^m, every such lead is an integer
     exps = [s - 1 - shift_number(rep, s) for s in range(1, p)]

@@ -5,14 +5,16 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
+import signal
 import subprocess
 import sys
 import time
 
 import jsonschema
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wildmckay import invariant_rings, stringy
@@ -199,10 +201,17 @@ class TestExitCodes:
         from wildmckay.covers import CountTooLarge, EnumerationTooLarge, InvalidJump
         from wildmckay.gf import PreconditionError, PrimalityUnproven
         from wildmckay.invariant_rings import RelationTooLarge
-        from wildmckay.stringy import BaseFieldMismatch, DegreeTooLarge, NotKLT, NotStringilyKLT, PointCountTooLarge
+        from wildmckay.stringy import (
+            BaseFieldMismatch,
+            DegreeTooLarge,
+            NotKLT,
+            NotStringilyKLT,
+            PointCountTooLarge,
+            ShiftWorkTooLarge,
+        )
 
         for exc in (PrimalityUnproven, InvalidJump, EnumerationTooLarge, CountTooLarge, BaseFieldMismatch,
-                    DegreeTooLarge, PointCountTooLarge, RelationTooLarge):
+                    DegreeTooLarge, PointCountTooLarge, ShiftWorkTooLarge, RelationTooLarge):
             assert issubclass(exc, PreconditionError)
         for exc in (NotStringilyKLT, NotKLT):
             assert issubclass(exc, PreconditionError) and issubclass(exc, ArithmeticError)
@@ -414,6 +423,30 @@ class TestHugeIntegers:
         assert code == 2
         assert "above the output guard of 1048576" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ("stringy", "invariant", "--p", "65521", "--dims", "363"),  # 11 s unguarded
+        ("stringy", "invariant", "--p", "1000000007", "--dims", "44722"),  # did not finish
+        ("stringy", "invariant", "--p", "1009", "--dims", ",".join(["2"] * 1009)),
+        ("stringy", "invariant", "--p", "8191", "--dims", "129"),
+        ("stringy", "pointcount", "--p", "8191", "--dims", "129", "--q", "8191"),
+        ("stringy", "pointcount", "--p", "30011", "--dims", ",".join(["2"] * 65000), "--q", "30011"),  # > 15 s
+    ], ids=lambda argv: " ".join(argv[:4]))
+    def test_shift_numbers_beyond_the_work_guard_exit_2_quickly(self, capsys, argv):
+        start = time.perf_counter()
+        code = main(list(argv))
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert f"above the work guard of {stringy.MAX_SHIFT_WORK}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("leaf,extra", [("invariant", ()), ("pointcount", ("--q", "169"))])
+    def test_shift_work_guard_edge(self, capsys, monkeypatch, leaf, extra):
+        # p = 13, dims 4,5,5: (13 - 1) * (3 + 4 + 4) = 132 floor terms
+        argv = ["stringy", leaf, "--p", "13", "--dims", "4,5,5", *extra]
+        monkeypatch.setattr(stringy, "MAX_SHIFT_WORK", 132)
+        assert run(capsys, *argv)[0] == 0
+        monkeypatch.setattr(stringy, "MAX_SHIFT_WORK", 131)
+        assert run(capsys, *argv) == (2, "")
+
     @pytest.mark.parametrize("p,d", [("1009", "2"), ("3", "101"), ("3", "1000"), ("4099", "400")])
     def test_reflection_beyond_the_work_guard_exits_2_quickly(self, capsys, p, d):
         start = time.perf_counter()
@@ -567,18 +600,23 @@ def argparse_reads(argv):
             return None
 
 
+def parser_values(flag, kind):
+    return INT_TEXTS if kind is int else st.text(max_size=6)
+
+
 @st.composite
-def plain_calls(draw):
+def plain_calls(draw, paths=LEAF_PATHS, values=parser_values):
     """A leaf path, then its required options and some of the others in any
-    order, each once by its exact flag, in the = or the space form."""
-    path = draw(st.sampled_from(LEAF_PATHS))
+    order, each once by its exact flag, in the = or the space form; the
+    value of an option is drawn from values(flag, kind)."""
+    path = draw(st.sampled_from(paths))
     argv = list(path)
     options = [opt for opt in COMMANDS[path][2] if opt[2] is REQUIRED or draw(st.booleans())]
     for flag, kind, _, _ in draw(st.permutations(options)):
         if kind is bool:
             argv.append(flag)
             continue
-        value = draw(INT_TEXTS if kind is int else st.text(max_size=6))
+        value = draw(values(flag, kind))
         argv += [f"{flag}={value}"] if value.startswith("-") or draw(st.booleans()) else [flag, value]
     return argv
 
@@ -627,3 +665,77 @@ class TestParseMatchesArgparse:
     @pytest.mark.parametrize("argv", TestParserPaths.LEAVES, ids=" ".join)
     def test_the_benchmark_leaves_are_plain(self, argv):
         assert vars(parse(list(argv))) == argparse_reads(list(argv))
+
+
+MERSENNE_PRIMES = [2 ** k - 1 for k in (2, 3, 5, 7, 13, 17, 19, 31, 61, 89, 107, 127)]
+BOUNDARY_INTS = st.integers(-7, 2 ** 128) | st.integers(-7, 64) | st.sampled_from(MERSENNE_PRIMES + [10 ** 9 + 7])
+FUZZ_PATHS = [path for path in LEAF_PATHS if path != ("suite",)]
+
+
+def smallest_klt_dim(p):
+    """The least d with d(d - 1)/2 >= p: dims [d] is the smallest stringily-KLT type over p."""
+    d = (math.isqrt(8 * p + 1) + 1) // 2
+    return d if d * (d - 1) // 2 >= p else d + 1
+
+
+def fraction_text(sign, a, b, over_zero):
+    """The text of sign * a / b, or of sign * a / 0 when over_zero."""
+    return f"{sign * a}/{0 if over_zero else b}"
+
+
+@st.composite
+def boundary_calls(draw):
+    """A plain call of a leaf other than suite, on boundary values: ints from
+    -7 to 2^128, Mersenne primes and 10^9 + 7, --q often a power of --p,
+    --dims often the smallest KLT dims of --p, fractions of either sign, half
+    of them over 0, and a --max-enum of at most 10^4 on every census."""
+    p = draw(BOUNDARY_INTS)
+    ints = BOUNDARY_INTS.map(str)
+    joined = st.lists(BOUNDARY_INTS, min_size=1, max_size=3).map(lambda xs: ",".join(map(str, xs)))
+    fractions = st.builds(fraction_text, st.sampled_from([1, -1]), BOUNDARY_INTS, BOUNDARY_INTS, st.booleans())
+    terms = st.lists(st.tuples(BOUNDARY_INTS, BOUNDARY_INTS), max_size=3).map(
+        lambda pairs: ",".join("%d:%d" % pair for pair in pairs))
+    texts = {
+        "--p": st.just(str(p)),
+        "--q": (ints | st.integers(1, 2).map(lambda e: str(p ** e))) if p > 1 else ints,
+        "--dims": joined | st.text(max_size=6) | (st.just(str(smallest_klt_dim(p))) if p > 1 else joined),
+        "--a": fractions | st.text(max_size=6),
+        "--series": terms | st.text(max_size=6),
+        "--max-enum": st.integers(-7, 10 ** 4).map(str),
+    }
+    argv = draw(plain_calls(FUZZ_PATHS, lambda flag, kind: texts.get(flag, ints)))
+    if argv[:2] == ["covers", "census"] and not any(a.startswith("--max-enum") for a in argv):
+        argv.append(f"--max-enum={draw(texts['--max-enum'])}")
+    return argv
+
+
+class Hang(BaseException):
+    """A call outlived its alarm; not an Exception, so main cannot report it as exit 1."""
+
+
+def hang(signum, frame):
+    raise Hang
+
+
+class TestBoundaryFuzz:
+    """Every leaf but suite, on boundary values, ends within 5 s in exit 0
+    (with a report the schema accepts), 2 or 3.  Derandomized, so that every
+    run makes the same calls."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(boundary_calls())
+    @example(["stringy", "invariant", "--p", "1000000007", "--dims", "44722"])  # the shift-number work guard
+    @example(["stringy", "pair", "--p", "3", "--a=-10000000"])  # the degree guard: over 20 s without it
+    def test_every_call_ends_in_an_exit_code(self, argv):
+        out = io.StringIO()
+        previous = signal.signal(signal.SIGALRM, hang)
+        signal.alarm(5)
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                code = main(argv)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert code in (0, 2, 3)
+        if code == 0:  # reports print exact ints of any size, and the schema's errors quote them
+            TestHugeIntegers.uncapped(lambda: jsonschema.validate(json.loads(out.getvalue()), SCHEMA))

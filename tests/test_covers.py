@@ -16,7 +16,6 @@ from wildmckay.covers import (
     ASCoverClass,
     EnumerationTooLarge,
     InvalidJump,
-    RepPoly,
     count_extensions,
     count_rep_covers,
     enumerate_covers,
@@ -65,33 +64,33 @@ def delta(a):
 class TestReduce:
     def test_zero(self):
         cls = reduce(series(F2, {}))
-        assert cls.rep.is_zero() and cls.const_class == 0 and cls.jump == 0
+        assert cls.coeffs == {} and cls.const_class == 0 and cls.jump == 0
 
     def test_single_step(self):
         cls = reduce(series(F2, {-2: 1}))
-        assert cls.rep == RepPoly(F2, {1: 1})
+        assert cls == ASCoverClass(F2, {1: 1})
         assert cls.const_class == 0
 
     def test_single_step_p3(self):
         cls = reduce(series(F3, {-3: 1}))
-        assert cls.rep == RepPoly(F3, {1: 1})
+        assert cls == ASCoverClass(F3, {1: 1})
         assert cls.const_class == 0
 
     def test_positive_tail_discarded(self):
         cls = reduce(series(F2, {0: 1, 1: 1, 2: 1}))
-        assert cls.rep.is_zero()
+        assert cls.coeffs == {}
         assert cls.const_class == 1
 
     def test_cascading_reduction(self):
         # t^-4 over F_2 reduces through t^-2 down to t^-1
         cls, wits = reduce_with_witnesses(series(F2, {-4: 1}))
-        assert cls.rep == RepPoly(F2, {1: 1})
+        assert cls == ASCoverClass(F2, {1: 1})
         assert wits == [(-2, 1), (-1, 1)]
         assert witnesses_account_for(series(F2, {-4: 1}), cls, wits)
 
     def test_witness_chain_guard(self):
         # t^(-2^1023) over F_2 walks a chain of 1023 witnesses: 1024^2 bits at most
-        assert reduce(series(F2, {-2 ** 1023: 1})) == ASCoverClass(RepPoly(F2, {1: 1}), 0)
+        assert reduce(series(F2, {-2 ** 1023: 1})) == ASCoverClass(F2, {1: 1}, 0)
         with pytest.raises(PreconditionError, match="1050625 bits of witnesses, above the guard of 1048576"):
             reduce(series(F2, {-2 ** 1024: 1}))
         # a huge exponent prime to p starts no chain
@@ -120,12 +119,12 @@ class TestReduce:
         assert "the search stops at 10000000" in done.stderr
 
     def test_rep_poly_invariants(self):
-        with pytest.raises(ValueError):
-            RepPoly(F2, {2: 1})  # p | index
-        with pytest.raises(ValueError):
-            RepPoly(F2, {0: 1})  # constant term
-        with pytest.raises(ValueError):
-            RepPoly(F2, {-1: 1})
+        # the representative polynomial's indices are positive and prime to p
+        for index in (2, 0, -1):  # p | index, the constant term, a positive power
+            with pytest.raises(ValueError, match=f"exponent index {index} must be positive and coprime to 2"):
+                ASCoverClass(F2, {index: 1})
+        assert ASCoverClass(F2, {1: 0, 3: 1}, 3).coeffs == {3: 1}
+        assert ASCoverClass(F2, {1: 0, 3: 1}, 3).const_class == 1
 
     @pytest.mark.parametrize("F", [F2, F3, F4, F5])
     def test_idempotent_and_witnesses_random(self, F):
@@ -155,13 +154,13 @@ class TestReduce:
 
 class TestJump:
     def test_unramified(self):
-        assert ASCoverClass(RepPoly(F2), 1).jump == 0
+        assert ASCoverClass(F2, {}, 1).jump == 0
 
     def test_simple(self):
-        assert ASCoverClass(RepPoly(F2, {1: 1}), 0).jump == 1
+        assert ASCoverClass(F2, {1: 1}, 0).jump == 1
 
     def test_top_index(self):
-        assert ASCoverClass(RepPoly(F2, {3: 1, 1: 1}), 0).jump == 3
+        assert ASCoverClass(F2, {3: 1, 1: 1}, 0).jump == 3
 
 
 class TestUniformizerParams:
@@ -259,7 +258,7 @@ class TestVerifyJump:
         ],
     )
     def test_oracle_true(self, F, rep):
-        cls = ASCoverClass(RepPoly(F, rep), 0)
+        cls = ASCoverClass(F, rep, 0)
         assert verify_jump(cls.lift())
         assert verify_jump(cls.lift() + artin_schreier(series(F, {-2 * cls.jump: 1, 3: 1})))
 
@@ -332,7 +331,7 @@ class TestCensus:
     def test_tiny_f2(self):
         report = enumerate_covers(2, 2)
         assert report.class_count == 2
-        assert {c.rep.key() for c in report.classes} == {(), ((1, 1),)}
+        assert {c.key()[0] for c in report.classes} == {(), ((1, 1),)}
         assert set(report.fiber_sizes.values()) == {2}
         assert report.all_ok
 
@@ -375,7 +374,7 @@ class TestIntCodedCore:
             g = g - artin_schreier(series(f.field, {e: c}))
         neg = {e: c for e, c in g.coeffs.items() if e < 0}
         trace = Reference(f.field).trace(g.coefficient(0))
-        return neg == {-i: c for i, c in cls.rep.coeffs.items()} and trace == cls.const_class
+        return neg == {-i: c for i, c in cls.coeffs.items()} and trace == cls.const_class
 
     @pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2), (5, 2)])
     def test_adapter_matches_core(self, p, e):
@@ -414,16 +413,38 @@ class TestIntCodedCore:
 
     def test_one_class_object_per_class(self, monkeypatch):
         built = []
-        init = ASCoverClass.__init__
+        of = ASCoverClass._of
 
-        def counting_init(self, *args):
+        def counting_of(*args):
             built.append(1)
-            init(self, *args)
+            return of(*args)
 
-        monkeypatch.setattr(ASCoverClass, "__init__", counting_init)
+        monkeypatch.setattr(ASCoverClass, "_of", counting_of)
         report = enumerate_covers(3, 5)
         assert report.all_ok
         assert len(built) == report.class_count == 81
+
+    @staticmethod
+    def assert_public_twin(cls):
+        twin = ASCoverClass(cls.field, cls.coeffs, cls.const_class)
+        assert twin == cls and hash(twin) == hash(cls)
+        assert twin.key() == cls.key() and twin.to_json() == cls.to_json() and repr(twin) == repr(cls)
+
+    @pytest.mark.parametrize("q,max_exp", [(2, 6), (3, 4), (4, 3), (9, 2), (5, 3)])
+    def test_census_classes_match_the_public_constructor(self, q, max_exp):
+        report = enumerate_covers(q, max_exp)
+        for cls in report.classes:
+            self.assert_public_twin(cls)
+        assert [c.key() for c in report.classes] == list(report.fiber_sizes)
+        assert len(set(report.classes)) == report.class_count
+
+    @pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (3, 2), (5, 2)])
+    def test_reductions_match_the_public_constructor(self, p, e):
+        F = GF(p, e)
+        rng = random.Random(p * 100 + e)
+        for _ in range(100):
+            f = series(F, {rng.randint(-40, 3): rng.randrange(F.order) for _ in range(rng.randint(0, 6))})
+            self.assert_public_twin(reduce(f))
 
     @pytest.mark.parametrize(
         "p,e", [(2, 1), (3, 1), (2, 2), (2, 3), (3, 2), (5, 2), (2, 4), (3, 3), (5, 5), (7, 2)]
@@ -433,15 +454,15 @@ class TestIntCodedCore:
         trace = Reference(F).trace
         for t in range(1, p):
             first = next(x for x in range(F.order) if trace(x) == t)
-            lifted = ASCoverClass(RepPoly(F, {1: 1}), t).lift()
+            lifted = ASCoverClass(F, {1: 1}, t).lift()
             assert lifted.coefficient(0) == first
             assert reduce(lifted).const_class == t
-        assert ASCoverClass(RepPoly(F, {1: 1}), 0).lift().coefficient(0) == 0
+        assert ASCoverClass(F, {1: 1}, 0).lift().coefficient(0) == 0
 
     def test_lift_over_a_huge_prime_field(self):
         # the constant comes from a closed form, not a scan over the field
         F = GF(2 ** 61 - 1)
         start = time.perf_counter()
-        lifted = ASCoverClass(RepPoly(F, {1: 1}), 2 ** 40).lift()
+        lifted = ASCoverClass(F, {1: 1}, 2 ** 40).lift()
         assert time.perf_counter() - start < 1.0
         assert lifted.coefficient(0) == 2 ** 40

@@ -118,6 +118,22 @@ def test_modulus_guard_counts_candidates(monkeypatch):
     assert issubclass(gf.ModulusSearchTooLarge, gf.PreconditionError)
 
 
+def test_modulus_search_skips_candidates_divisible_by_y(monkeypatch):
+    # a candidate with c_0 = 0 has the factor y, so only odd codes are tested
+    # over F_2: GF(2, 16) tests 22 of its first 44 candidates
+    tested = []
+    is_irreducible = gf._is_irreducible
+
+    def counting(m, p):
+        tested.append(m)
+        return is_irreducible(m, p)
+
+    monkeypatch.setattr(gf, "_is_irreducible", counting)
+    modulus = gf._find_modulus(2, 16)
+    assert len(tested) == 22 and all(m[0] for m in tested)
+    assert 1 + sum(c << i for i, c in enumerate(modulus[:-1])) == 44
+
+
 @pytest.mark.parametrize("p,e", FIELDS)
 def test_field_axioms_by_sampling(p, e):
     F = GF(p, e)

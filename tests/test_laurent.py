@@ -5,7 +5,7 @@ import random
 import pytest
 
 from gf_reference import Reference
-from wildmckay.covers import RepPoly
+from wildmckay.covers import ASCoverClass
 from wildmckay.gf import GF
 from wildmckay.laurent import LaurentSeries, artin_schreier
 
@@ -52,13 +52,13 @@ class TestCodedCoefficients:
     def test_coefficients_are_codes_in_range_q(self):
         # 3 is the code of 1 + y in F_4, not the prime-field value 3 = 1
         assert LaurentSeries(GF(2, 2), {0: 3}).coefficient(0) == 3
-        assert RepPoly(GF(3, 2), {1: 8}).coeffs == {1: 8}
+        assert ASCoverClass(GF(3, 2), {1: 8}).coeffs == {1: 8}
         f = LaurentSeries(GF(2, 2), {-1: 1})
         for bad in (4, -1, 1.0, "1", None):
             with pytest.raises(ValueError, match="is not a code of GF"):
                 LaurentSeries(GF(2, 2), {0: bad})
             with pytest.raises(ValueError, match="is not a code of GF"):
-                RepPoly(GF(2, 2), {1: bad})
+                ASCoverClass(GF(2, 2), {1: bad})
             with pytest.raises(ValueError, match="is not a code of GF"):
                 f * bad
         assert (f * 3).coeffs == {-1: 3} and (f * 0).is_zero()
