@@ -12,7 +12,7 @@ command.
 
 from .covers import ASCoverClass, count_extensions, count_rep_covers, enumerate_covers, reduce, verify_jump
 from .gf import GF
-from .laurent import LaurentSeries, artin_schreier
+from .laurent import artin_schreier
 from .motivic import L, MotivicValue, geometric_sum
 from .stringy import (
     RepType,
@@ -34,7 +34,6 @@ __all__ = [
     "ASCoverClass",
     "GF",
     "L",
-    "LaurentSeries",
     "MotivicValue",
     "RepType",
     "artin_schreier",

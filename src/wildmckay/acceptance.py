@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from . import covers, stringy
 from .gf import GF
-from .laurent import LaurentSeries, artin_schreier
+from .laurent import add, artin_schreier
 from .motivic import L, MotivicValue, geometric_sum
 from .oracles import _fiber_class_via_strata, _fiber_count_via_census, _lp, _projectivized_via_definition
 from .oracles import _stack_pair_via_sectors, _stringy_from_resolution
@@ -179,8 +179,9 @@ def crit_jump_oracle(rng) -> _Tally:
         for cls in report.classes:
             if cls.jump == 0:
                 continue
-            f = cls.lift() + artin_schreier(LaurentSeries(cls.field, {-cls.jump: 1}))
-            t.check(covers.verify_jump(f), f"verify_jump q={q} {cls!r}")
+            F = cls.field
+            f = add(F, cls.lift(), artin_schreier(F, {-cls.jump: 1}))
+            t.check(covers.verify_jump(F, f), f"verify_jump q={q} {cls!r}")
     # the census's last reader in CRITERIA: the criteria after it run without it
     _census.cache_clear()
     return t
@@ -272,10 +273,9 @@ def crit_property_suites(rng) -> _Tally:
             coeffs = {}
             for _ in range(rng.randint(0, 6)):
                 coeffs[rng.randint(-8, 3)] = rng.choice(range(F.order))
-            f = LaurentSeries(F, coeffs)
-            cls, wits = covers.reduce_with_witnesses(f)
-            t.check(covers.witnesses_account_for(f, cls, wits), f"witnesses p={p} e={e}")
-            again = covers.reduce(cls.lift())
+            cls, wits = covers.reduce_with_witnesses(F, coeffs)
+            t.check(covers.witnesses_account_for(F, coeffs, cls, wits), f"witnesses p={p} e={e}")
+            again = covers.reduce(F, cls.lift())
             t.check(again == cls, f"idempotence p={p} e={e}")
     return t
 

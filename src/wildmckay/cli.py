@@ -26,7 +26,6 @@ from fractions import Fraction
 
 from . import acceptance, covers, stringy
 from .gf import GF, PreconditionError, prime_power_decomposition, require_prime
-from .laurent import LaurentSeries
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -55,8 +54,9 @@ def _parse_dims(text: str) -> tuple[int, ...]:
         raise PreconditionError(f"expected comma-separated dimensions like 2,2,1, got {text!r}")
 
 
-def _parse_series(field, text: str) -> LaurentSeries:
-    """Parse 'exp:coeff,exp:coeff' with int or polynomial coefficients."""
+def _parse_series(field, text: str) -> dict[int, int]:
+    """Parse 'exp:coeff,exp:coeff' with int or polynomial coefficients
+    into {exponent: code}; like terms add up, and a zero sum stays."""
     coeffs, add = {}, field.codes[0]
     text = text.strip()
     if text:
@@ -69,7 +69,7 @@ def _parse_series(field, text: str) -> LaurentSeries:
             except ValueError as exc:
                 raise PreconditionError(f"malformed series term {chunk!r}: {exc}") from None
             coeffs[e] = add(coeffs.get(e, 0), c)
-    return LaurentSeries(field, coeffs)
+    return coeffs
 
 
 def _degree(p: int, q: int) -> int:
@@ -167,8 +167,8 @@ def _cmd_stringy_pointcount(args) -> int:
 
 
 def _cmd_covers_reduce(args) -> int:
-    f = _parse_series(GF(args.p, _degree(args.p, args.q)), args.series)
-    cls = covers.reduce(f)
+    F = GF(args.p, _degree(args.p, args.q))
+    cls = covers.reduce(F, _parse_series(F, args.series))
     _emit(cls.to_json(), args.format)
     return EXIT_OK
 

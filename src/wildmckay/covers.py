@@ -9,6 +9,8 @@ plus an unramified constant class in F_p realized here through the
 absolute trace.  The positive tail of f lies in the image, so only its
 polar part is read.
 
+A Laurent polynomial f is its dict {exponent: code} (see laurent), passed
+beside its field F: the public entry points take (F, f) and validate f.
 The module provides the reduction with accumulated witnesses, kept as
 (exponent, code) monomials from the int-coded core onward, the
 ramification jump, stratum counting formulas, a brute-force census engine
@@ -23,8 +25,9 @@ import itertools
 import math
 from collections import Counter
 
+from . import laurent
 from .gf import GF, GaloisField, InternalMismatch, PreconditionError, require_prime_power
-from .laurent import LaurentSeries, nonzero_codes
+from .laurent import nonzero_codes
 
 
 class InvalidJump(PreconditionError):
@@ -76,17 +79,18 @@ class ASCoverClass:
     def _polar(self) -> dict[int, int]:
         return {-i: c for i, c in self.coeffs.items()}
 
-    def lift(self) -> LaurentSeries:
-        """A Laurent polynomial in the class: rep plus the first constant, in
-        encoding order, whose trace (the map F.codes[4]) is const_class.
-        The trace is F_p-linear: for the least i with tr(y^i) != 0, all
-        codes below p^i have trace 0, so that constant is t/tr(y^i) * y^i."""
+    def lift(self) -> dict[int, int]:
+        """A Laurent polynomial {exponent: code} in the class: rep plus the
+        first constant, in encoding order, whose trace (the map F.codes[4])
+        is const_class.  The trace is F_p-linear: for the least i with
+        tr(y^i) != 0, all codes below p^i have trace 0, so that constant is
+        t/tr(y^i) * y^i."""
         F, t, tr = self.field, self.const_class, self.field.codes[4]
         coeffs = self._polar()
         if t:
             i = next(i for i in range(F.e) if tr(F.p ** i))
             coeffs[0] = t * pow(tr(F.p ** i), -1, F.p) % F.p * F.p ** i
-        return LaurentSeries._from_codes(F, coeffs)
+        return coeffs
 
     def key(self) -> tuple:
         """Deterministic sort/hash key: (sorted (index, code) pairs, const_class)."""
@@ -104,8 +108,7 @@ class ASCoverClass:
         return hash((self.field, self.key()))
 
     def __repr__(self):
-        rep = LaurentSeries._from_codes(self.field, self._polar())
-        return f"ASCoverClass(rep={rep}, const_class={self.const_class})"
+        return f"ASCoverClass(rep={laurent.to_str(self.field, self._polar())}, const_class={self.const_class})"
 
     def to_json(self) -> dict:
         prime = self.field.e == 1
@@ -160,11 +163,11 @@ def _witnesses_hold(F, f, rep, const, witnesses):
     return trace(g.pop(0, 0)) == const and {e: c for e, c in g.items() if c} == rep
 
 
-def reduce_with_witnesses(f: LaurentSeries) -> tuple[ASCoverClass, list[tuple[int, int]]]:
-    """Normal form of f modulo the Artin-Schreier image, with the subtracted
-    preimage witnesses as (exponent, code) monomials in the order
-    subtracted, so that f - sum w(c t^e) has negative part equal to the returned
-    representative polynomial.
+def reduce_with_witnesses(F: GaloisField, f) -> tuple[ASCoverClass, list[tuple[int, int]]]:
+    """Normal form of f = {exponent: code} over F modulo the Artin-Schreier
+    image, with the subtracted preimage witnesses as (exponent, code)
+    monomials in the order subtracted, so that f - sum w(c t^e) has negative
+    part equal to the returned representative polynomial.
 
     The strictly positive tail is discarded outright (it always lies in the
     image over F_q[[t]] up to a constant-class adjustment, which the trace of
@@ -172,7 +175,7 @@ def reduce_with_witnesses(f: LaurentSeries) -> tuple[ASCoverClass, list[tuple[in
     chain of up to log_p|e| witnesses of up to log_2|e| bits each, so an
     exponent whose chain could exceed MAX_COUNT_BITS bits is refused.
     """
-    F, polar = f.field, f.polar_codes()
+    polar = nonzero_codes(F, f, polar=True)
     bits = max((e.bit_length() for e in polar if e % F.p == 0), default=0)
     if bits * bits > MAX_COUNT_BITS:
         raise PreconditionError(f"a term at an exponent of {bits} bits can need {bits * bits} bits of "
@@ -181,17 +184,17 @@ def reduce_with_witnesses(f: LaurentSeries) -> tuple[ASCoverClass, list[tuple[in
     return ASCoverClass._of(F, {-e: c for e, c in rep.items()}, const), witnesses
 
 
-def reduce(f: LaurentSeries) -> ASCoverClass:
-    """Normal form of the cover class of f (see reduce_with_witnesses)."""
-    return reduce_with_witnesses(f)[0]
+def reduce(F: GaloisField, f) -> ASCoverClass:
+    """Normal form of the cover class of f over F (see reduce_with_witnesses)."""
+    return reduce_with_witnesses(F, f)[0]
 
 
-def witnesses_account_for(f: LaurentSeries, cls: ASCoverClass, witnesses) -> bool:
+def witnesses_account_for(F: GaloisField, f, cls: ASCoverClass, witnesses) -> bool:
     """Check that f - sum w(c t^e) over the witness pairs (e, c) has negative
     part the class's representative polynomial and constant-term trace
     cls.const_class.  (The positive tail is absorbed implicitly and is not
     certified here.)"""
-    return _witnesses_hold(f.field, f.polar_codes(), cls._polar(), cls.const_class, witnesses)
+    return _witnesses_hold(F, nonzero_codes(F, f, polar=True), cls._polar(), cls.const_class, witnesses)
 
 
 def uniformizer_params(p: int, j: int) -> tuple[int, int, int, int]:
@@ -214,50 +217,53 @@ def uniformizer_params(p: int, j: int) -> tuple[int, int, int, int]:
 # -- the jump oracle ----------------------------------------------------------
 #
 # For a Laurent polynomial f, an element of R = F_q((t))[g]/(g^p - g + f) is a
-# list of p exact series on the basis 1, g, ..., g^(p-1).  For ramified f, R is
-# a totally ramified degree-p extension L of F_q((t)), so v_L(x) = ord_t N(x).
+# list of p exact polynomials {exponent: code} on the basis 1, g, ..., g^(p-1).
+# For ramified f, R is a totally ramified degree-p extension L of F_q((t)),
+# so v_L(x) = ord_t N(x).
 
 
-def _ring_mul(a, b, f):
+def _ring_mul(F, a, b, f):
     """a * b in R: rewrites g^(p+k) = g^(k+1) - f g^k from the top down."""
     p = len(a)
-    prod = [LaurentSeries.zero(f.field)] * (2 * p - 1)
+    prod = [{}] * (2 * p - 1)
     for i, x in enumerate(a):
-        if not x.is_zero():
+        if x:
             for k, y in enumerate(b):
-                if not y.is_zero():
-                    prod[i + k] = prod[i + k] + x * y
+                if y:
+                    prod[i + k] = laurent.add(F, prod[i + k], laurent.mul(F, x, y))
     for k in range(2 * p - 2, p - 1, -1):
-        if not (c := prod[k]).is_zero():
-            prod[k - p + 1] = prod[k - p + 1] + c
-            prod[k - p] = prod[k - p] - f * c
+        if c := prod[k]:
+            prod[k - p + 1] = laurent.add(F, prod[k - p + 1], c)
+            prod[k - p] = laurent.sub(F, prod[k - p], laurent.mul(F, f, c))
     return prod[:p]
 
 
-def _sigma(a):
+def _sigma(F, a):
     """The Galois generator g -> g + 1 applied to a, re-expanded."""
     p = len(a)
-    out = [LaurentSeries.zero(a[0].field)] * p
+    out = [{}] * p
     for m, x in enumerate(a):
-        if not x.is_zero():
+        if x:
             for i in range(m + 1):
-                out[i] = out[i] + x * (math.comb(m, i) % p)
+                if k := math.comb(m, i) % p:
+                    out[i] = laurent.add(F, out[i], laurent.mul(F, x, {0: k}))
     return out
 
 
-def _norm_order(a, f) -> int:
+def _norm_order(F, a, f) -> int:
     """ord_t N(a), with N(a) = prod_{k<p} sigma^k(a) computed in R."""
     norm = conj = a
     for _ in range(len(a) - 1):
-        conj = _sigma(conj)
-        norm = _ring_mul(norm, conj, f)
-    if norm[0].is_zero() or not all(x.is_zero() for x in norm[1:]):
-        raise InternalMismatch(f"the norm of an element of the cover ring of {f} is 0 or not in F_q((t))")
-    return norm[0].order()
+        conj = _sigma(F, conj)
+        norm = _ring_mul(F, norm, conj, f)
+    if not norm[0] or any(norm[1:]):
+        raise InternalMismatch(f"the norm of an element of the cover ring of {laurent.to_str(F, f)} "
+                               "is 0 or not in F_q((t))")
+    return min(norm[0])
 
 
-def verify_jump(f: LaurentSeries) -> bool:
-    """Independent ramification oracle on a Laurent polynomial f.
+def verify_jump(F: GaloisField, f) -> bool:
+    """Independent ramification oracle on a Laurent polynomial f over F.
 
     With the reduction's jump j and witnesses w, h = g + sum w solves
     h^p - h = -(f - sum w(w)).  When the reduction is right, s = t^m h^(l')
@@ -265,16 +271,16 @@ def verify_jump(f: LaurentSeries) -> bool:
     v(sigma(s) - s) = j + 1 (Serre, Local Fields, IV).  Checks both, with
     v = ord_t N and N(s) = t^(pm) N(h)^(l').  An unramified f raises InvalidJump.
     """
-    cls, witnesses = reduce_with_witnesses(f)
-    p, j, zero = f.field.p, cls.jump, LaurentSeries.zero(f.field)
+    f = nonzero_codes(F, f)
+    cls, witnesses = reduce_with_witnesses(F, f)
+    p, j = F.p, cls.jump
     q_, _r, l_, c_ = uniformizer_params(p, j)
-    one = LaurentSeries._from_codes(f.field, {0: 1})
-    h = power = [LaurentSeries._from_codes(f.field, dict(witnesses)), one] + [zero] * (p - 2)
+    h = power = [dict(witnesses), {0: 1}] + [{}] * (p - 2)
     for _ in range(l_ - 1):
-        power = _ring_mul(power, h, f)
+        power = _ring_mul(F, power, h, f)
     pm = p * (l_ * q_ - c_)  # sigma(s) - s = t^m (sigma(h^l') - h^l')
-    delta = [x - y for x, y in zip(_sigma(power), power)]
-    return pm + l_ * _norm_order(h, f) == 1 and pm + _norm_order(delta, f) == j + 1
+    delta = [laurent.sub(F, x, y) for x, y in zip(_sigma(F, power), power)]
+    return pm + l_ * _norm_order(F, h, f) == 1 and pm + _norm_order(F, delta, f) == j + 1
 
 
 # -- counting and enumeration ------------------------------------------------
