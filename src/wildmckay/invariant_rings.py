@@ -22,10 +22,9 @@ import math
 from .gf import PreconditionError, binary_power, is_prime, require_prime
 from .motivic import _mul_terms
 
-# Work guard of verify_dim3_relation: its work grows about as p^3, from
-# 0.015 s at p = 31 to 0.38 s at p = 101 and 0.96 s at p = 151 (in-process,
-# on a shared 2-vCPU machine).  The guard was set when p = 101 took 3 s and
-# p = 127 took 8 s; larger p still exits 2.
+# Work guard of verify_dim3_relation, whose work grows about as p^3: p = 31, 101
+# and 151 take 0.005, 0.16 and 0.55 s in-process (fastest runs, shared 2-vCPU
+# machine).  Set when p = 101 took 3 s and p = 127 took 8 s; larger p exits 2.
 MAX_V3_PRIME = 101
 # Work guards of reflection_jacobian_check: its work grows about as d^3 and
 # barely with p, since x + y is raised to the p-th power by stretching keys:
@@ -50,11 +49,6 @@ def _pack(mono: tuple[int, ...]) -> int:
     return key
 
 
-def _degree(terms: dict[int, int]) -> int:
-    """Total degree of a polynomial's terms, 0 for the zero polynomial."""
-    return max(map(_MASK.__rmod__, terms), default=0)
-
-
 def _require_degree(degree: int, what: str) -> None:
     if degree >= _MASK:
         raise PreconditionError(f"{what} of degree up to {degree} is at least 2^{_B} - 1, "
@@ -69,7 +63,7 @@ class RelationTooLarge(PreconditionError):
 class MultiPoly:
     """Sparse multivariate polynomial over F_p."""
 
-    __slots__ = ("p", "vars", "terms")
+    __slots__ = ("p", "vars", "terms", "_deg")
 
     def __init__(self, p: int, vars: tuple[str, ...], terms=None):
         """terms maps exponent tuples, one entry per variable, to integer
@@ -86,15 +80,23 @@ class MultiPoly:
             c = int(c) % p
             if c:
                 clean[_pack(mono)] = c
-        self.terms = clean
+        self.terms, self._deg = clean, None
 
     @classmethod
-    def _of(cls, p: int, vars: tuple[str, ...], terms: dict) -> "MultiPoly":
-        """Wrap terms that are already clean: coefficients reduced mod p and
-        nonzero, packed keys of total degree below 2^_B - 1."""
+    def _of(cls, p: int, vars: tuple[str, ...], terms: dict, degree: int | None = None) -> "MultiPoly":
+        """Wrap clean terms: coefficients reduced mod p and nonzero, packed keys
+        of total degree below 2^_B - 1.  degree, if given, is the largest one."""
         poly = object.__new__(cls)
-        poly.p, poly.vars, poly.terms = p, vars, terms
+        poly.p, poly.vars, poly.terms, poly._deg = p, vars, terms, degree
         return poly
+
+    @property
+    def degree(self) -> int:
+        """Total degree, 0 for zero.  Products and powers carry it (over F_p,
+        deg fg = deg f + deg g); other results scan their terms when asked."""
+        if self._deg is None:
+            self._deg = max(map(_MASK.__rmod__, self.terms), default=0)
+        return self._deg
 
     # -- constructors --
 
@@ -146,9 +148,10 @@ class MultiPoly:
 
     def __mul__(self, other):
         other = self._check(other)
-        _require_degree(_degree(self.terms) + _degree(other.terms), "product")
+        _require_degree(degree := self.degree + other.degree, "product")
         p, out = self.p, _mul_terms(self.terms, other.terms)
-        return MultiPoly._of(p, self.vars, {m: r for m, c in out.items() if (r := c % p)})
+        out = {m: r for m, c in out.items() if (r := c % p)}
+        return MultiPoly._of(p, self.vars, out, degree if out else 0)
 
     __rmul__ = __mul__
 
@@ -158,7 +161,7 @@ class MultiPoly:
         gf.binary_power, and no product involves the constant 1."""
         if n < 0:
             raise ValueError(f"negative exponent {n}")
-        _require_degree(n * _degree(self.terms), "power")
+        _require_degree(n * self.degree, "power")
         p, base, result = self.p, self, None
         while n:
             n, digit = divmod(n, p)
@@ -166,7 +169,7 @@ class MultiPoly:
                 power = binary_power(base, digit, None)
                 result = power if result is None else result * power
             if n:
-                base = MultiPoly._of(p, self.vars, {m * p: c for m, c in base.terms.items()})
+                base = MultiPoly._of(p, self.vars, {m * p: c for m, c in base.terms.items()}, base.degree * p)
         return MultiPoly.constant(p, self.vars, 1) if result is None else result
 
     def __eq__(self, other):
@@ -214,11 +217,11 @@ class MultiPoly:
                 if name not in images:
                     raise ValueError(f"no image provided for occurring variable {name}")
                 have, power = powers.get(name, (0, None))
-                if have and e > have and e % p:
-                    power = power * images[name] ** (e - have)
-                elif e != have:
-                    power = images[name] ** e
-                powers[name] = (e, power)
+                if e != have:
+                    k = e - have if have and e > have and e % p else e
+                    step = images[name] if k == 1 else images[name] ** k
+                    power = step if k == e else power * step
+                    powers[name] = (e, power)
                 term = power if term is None else term * power
             c = self.terms[mono]
             for m, t in (term.terms if term is not None else {0: 1}).items():
@@ -324,13 +327,10 @@ def dim3_relation(p: int) -> MultiPoly:
         2 X^p Z + W^p - Y^2 + sum_{i=2}^{(p+1)/2} (-1)^i C_{i-1} X^(2(p-i)) W^i
 
     with C the Catalan numbers mod p."""
-    names = ("X", "Y", "Z", "W")
-    X, Y, Z, W = MultiPoly.gens(p, names)
-    rel = 2 * X ** p * Z + W ** p - Y * Y
+    terms = {(p, 0, 1, 0): 2, (0, 0, 0, p): 1, (0, 2, 0, 0): -1}
     for i in range(2, (p + 1) // 2 + 1):
-        sign = 1 if i % 2 == 0 else -1
-        rel = rel + sign * catalan_mod(i - 1, p) * X ** (2 * (p - i)) * W ** i
-    return rel
+        terms[2 * (p - i), 0, 0, i] = (-1) ** i * catalan_mod(i - 1, p)
+    return MultiPoly(p, ("X", "Y", "Z", "W"), terms)
 
 
 def dim3_quadratic_invariant(p: int) -> MultiPoly:

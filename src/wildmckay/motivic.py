@@ -103,6 +103,9 @@ def _add_terms(a: dict, b: dict) -> dict:
 
 
 def _mul_terms(a: dict, b: dict) -> dict:
+    # the shorter operand outside, so that fewer inner loops start
+    if len(a) > len(b):
+        a, b = b, a
     out: dict[int, int] = {}
     for k1, c1 in a.items():
         for k2, c2 in b.items():

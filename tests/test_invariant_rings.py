@@ -4,7 +4,10 @@ import random
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from wildmckay import invariant_rings
 from wildmckay.gf import PreconditionError
 from wildmckay.invariant_rings import (
     _B,
@@ -38,6 +41,19 @@ def random_poly(rng, p, names, max_deg=3, max_terms=4):
     for _ in range(rng.randint(1, max_terms)):
         mono = tuple(rng.randint(0, max_deg) for _ in names)
         terms[mono] = rng.randint(0, p - 1)
+    return MultiPoly(p, names, terms)
+
+
+def rescanned_degree(f):
+    """Total degree from the exponent tuples of f's terms, 0 for zero."""
+    return max((sum(unpack(k, len(f.vars))) for k in f.terms), default=0)
+
+
+@st.composite
+def polys(draw, p, names):
+    """A polynomial over F_p whose coefficients may be 0 and whose terms may
+    cancel in sums and differences."""
+    terms = draw(st.dictionaries(st.tuples(*[st.integers(0, 3)] * len(names)), st.integers(-p, p), max_size=5))
     return MultiPoly(p, names, terms)
 
 
@@ -119,6 +135,27 @@ class TestMultiPoly:
             want = f * g.derivative("y") + g * f.derivative("y")
             assert got == want
 
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_degree_bookkeeping(self, data):
+        # products and powers carry their degree; every result must report the
+        # degree that a rescan of its terms gives (0 for the zero polynomial)
+        p = data.draw(st.sampled_from([2, 3, 5, 7]))
+        names = ("x", "y", "z")
+        f, g, h = (data.draw(polys(p, names)) for _ in range(3))
+        images = {name: data.draw(polys(p, names)) for name in names}
+        n = data.draw(st.integers(0, 2 * p * p + p))  # two or three base-p digits: Frobenius powers
+        zero = MultiPoly(p, names)
+        results = [
+            f * g, (f * g) * h, f * zero, zero * f, f * 3, f * p, f ** n, (f * g) ** n, (f ** n) * g,
+            zero ** n, f ** p, f ** (p * p + 1), f + g, f - f, f - g, -f, f.substitute(images),
+            (f * g).substitute(images), f.derivative("x"), (f ** p).derivative("y"),
+            MultiPoly.constant(p, names, n), MultiPoly.variable(p, names, "z"), zero,
+            *MultiPoly.gens(p, names),
+        ]
+        for r in results:
+            assert r.degree == rescanned_degree(r)
+
     def test_frobenius_powers_form_no_product(self, monkeypatch):
         # over F_p, f^(p^k) has the terms {p^k key: c}: stretched, not multiplied
         x, y, z = MultiPoly.gens(3, ("x", "y", "z"))
@@ -129,7 +166,7 @@ class TestMultiPoly:
         assert products == []
         assert (x + y) ** 0 == 1 and MultiPoly(3, ("x", "y", "z")) ** 5 == 0
 
-    def test_packed_degree_guard(self):
+    def test_packed_degree_guard(self, monkeypatch):
         names = ("x", "y")
         x, y = MultiPoly.gens(2, names)
         top = MultiPoly(2, names, {(_MASK - 1, 0): 1})
@@ -147,6 +184,20 @@ class TestMultiPoly:
             with pytest.raises(PreconditionError):
                 make()
         assert MultiPoly.constant(2, names, 1) ** 10 ** 30 == 1
+        # the guard reads the degree that products and powers carry
+        low, high = x ** 5, x ** (_MASK - 5)
+        assert (low._deg, high._deg) == (5, _MASK - 5)
+        with pytest.raises(PreconditionError):
+            low * high
+        assert low * x ** (_MASK - 6) == top
+        built, f = [], x * y + 1
+        mul_terms = invariant_rings._mul_terms
+        monkeypatch.setattr(invariant_rings, "_mul_terms", lambda a, b: built.append(1) or mul_terms(a, b))
+        square = f * f
+        assert square._deg == 4 and built == [1]
+        with pytest.raises(PreconditionError):
+            square ** ((_MASK + 3) // 4)
+        assert built == [1]
 
     def test_graded_lex_printing(self):
         x, y = MultiPoly.gens(7, ("x", "y"))
@@ -215,7 +266,9 @@ class TestDim3Relation:
 
     def test_p31_monomial_products(self, monkeypatch):
         # 182 722 while substitute powered each image anew for every term,
-        # 41 470 before Frobenius powers and the scalar pass in substitute
+        # 41 470 before Frobenius powers and the scalar pass in substitute;
+        # 341 calls (18 252 products) while dim3_relation was built by ring
+        # operations.  The call pin catches per-call overhead at equal products.
         products = []
         mul = MultiPoly.__mul__
 
@@ -226,6 +279,15 @@ class TestDim3Relation:
         monkeypatch.setattr(MultiPoly, "__mul__", counting)
         assert verify_dim3_relation(31)["ok"]
         assert sum(products) <= 20_000
+        assert len(products) <= 200
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
+    def test_relation_matches_ring_operations(self, p):
+        X, Y, Z, W = MultiPoly.gens(p, ("X", "Y", "Z", "W"))
+        rel = 2 * X ** p * Z + W ** p - Y * Y
+        for i in range(2, (p + 1) // 2 + 1):
+            rel = rel + (-1) ** i * catalan_mod(i - 1, p) * X ** (2 * (p - i)) * W ** i
+        assert dim3_relation(p) == rel
 
     def test_p3_specialization(self):
         X, Y, Z, W = MultiPoly.gens(3, ("X", "Y", "Z", "W"))
@@ -243,13 +305,16 @@ class TestDim3Relation:
         assert dim3_quadratic_invariant(3) == y * y + x * z - x * y
 
     def test_negative_control(self):
-        # corrupt one Catalan coefficient: the relation must not vanish
+        # corrupt one Catalan coefficient, or add a stray W^2: the relation
+        # must not vanish
         p = 5
         act, x, y, z = dim3_action(p)
         w = dim3_quadratic_invariant(p)
-        rel = dim3_relation(p) + MultiPoly.variable(p, ("X", "Y", "Z", "W"), "W") ** 2
-        residual = rel.substitute({"X": x, "Y": act.norm(y), "Z": act.norm(z), "W": w})
-        assert not residual.is_zero()
+        X, _, _, W = MultiPoly.gens(p, ("X", "Y", "Z", "W"))
+        for corruption in (X ** (2 * (p - 2)) * W ** 2, W ** 2):
+            rel = dim3_relation(p) + corruption
+            residual = rel.substitute({"X": x, "Y": act.norm(y), "Z": act.norm(z), "W": w})
+            assert not residual.is_zero()
 
 
 class TestDim22Relation:
