@@ -10,47 +10,33 @@ brute-force verification of the known invariant-ring presentations
 command.
 """
 
-from .covers import ASCoverClass, count_extensions, count_rep_covers, enumerate_covers, reduce, verify_jump
-from .gf import GF
-from .laurent import artin_schreier
-from .motivic import L, MotivicValue, geometric_sum
-from .stringy import (
-    RepType,
-    origin_fiber_class,
-    origin_fiber_point_count,
-    poincare_duality_holds,
-    projectivized_invariant,
-    shift_number,
-    shift_slope,
-    smooth_pair_invariant,
-    stack_pair_invariant,
-    stringy_euler,
-    stringy_invariant,
-)
-
 __version__ = "0.1.0"
 
-__all__ = [
-    "ASCoverClass",
-    "GF",
-    "L",
-    "MotivicValue",
-    "RepType",
-    "artin_schreier",
-    "count_extensions",
-    "count_rep_covers",
-    "enumerate_covers",
-    "geometric_sum",
-    "origin_fiber_class",
-    "origin_fiber_point_count",
-    "poincare_duality_holds",
-    "projectivized_invariant",
-    "reduce",
-    "shift_number",
-    "shift_slope",
-    "smooth_pair_invariant",
-    "stack_pair_invariant",
-    "stringy_euler",
-    "stringy_invariant",
-    "verify_jump",
-]
+# each export and its module, which is imported when the name is first read
+_HOMES = {
+    **dict.fromkeys(("ASCoverClass", "count_extensions", "count_rep_covers", "enumerate_covers", "reduce",
+                     "verify_jump"), "covers"),
+    "GF": "gf",
+    "artin_schreier": "laurent",
+    **dict.fromkeys(("L", "MotivicValue", "geometric_sum"), "motivic"),
+    **dict.fromkeys(("RepType", "origin_fiber_class", "origin_fiber_point_count", "poincare_duality_holds",
+                     "projectivized_invariant", "shift_number", "shift_slope", "smooth_pair_invariant",
+                     "stack_pair_invariant", "stringy_euler", "stringy_invariant"), "stringy"),
+}
+
+__all__ = sorted(_HOMES)
+
+
+def __getattr__(name):
+    # PEP 562: `import wildmckay.cli` compiles no module that the command does
+    # not use.  A resolved name is not stored in this namespace, so it always
+    # reads the module's current attribute (tracing swaps and restores them).
+    if name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    return getattr(import_module(f"{__name__}.{_HOMES[name]}"), name)
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

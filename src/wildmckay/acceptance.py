@@ -15,7 +15,7 @@ import random
 import time
 from fractions import Fraction
 
-from . import covers, stringy
+from . import covers, invariant_rings, stringy
 from .gf import GF
 from .laurent import add, artin_schreier
 from .motivic import L, MotivicValue, geometric_sum
@@ -189,8 +189,6 @@ def crit_jump_oracle(rng) -> _Tally:
 
 def crit_invariant_rings(rng) -> _Tally:
     """Hypersurface equations and the reflection Jacobian."""
-    from . import invariant_rings  # imported on use, as in cli._cmd_verify
-
     t = _Tally()
     for p in (3, 5, 7, 11):
         t.check(invariant_rings.verify_dim3_relation(p)["ok"], f"dim-3 relation p={p}")

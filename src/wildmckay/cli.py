@@ -22,9 +22,7 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
-from . import acceptance, covers, stringy
 from .gf import GF, PreconditionError, prime_power_decomposition, require_prime
 
 EXIT_OK = 0
@@ -37,10 +35,14 @@ def schema_path() -> str:
 
 
 def _rat(x) -> str:
+    from fractions import Fraction
+
     return str(Fraction(x))
 
 
 def _parse_fraction(text: str) -> Fraction:
+    from fractions import Fraction
+
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -114,9 +116,12 @@ def _progress(line: str, ok: bool) -> None:
 
 
 # -- subcommand handlers ------------------------------------------------------
+# Each handler imports the modules it uses, so a call compiles only those.
 
 
 def _cmd_stringy_invariant(args) -> int:
+    from . import stringy
+
     rep = stringy.RepType(args.p, _parse_dims(args.dims))
     e_st = stringy.stringy_euler(rep)  # raises NotStringilyKLT when D < p
     crepant = stringy.crepant_diagnostic(rep)
@@ -126,7 +131,7 @@ def _cmd_stringy_invariant(args) -> int:
         "p": rep.p,
         "dims": list(rep.dims),
         "D_V": stringy.shift_slope(rep),
-        "sht": [[s, stringy.shift_number(rep, s)] for s in range(1, rep.p)],
+        "sht": [[s, sht] for s, sht in enumerate(stringy.shift_numbers(rep), 1)],
         "M_st": m.to_json(),
         "M_st_display": str(m),
         "e_st": _rat(e_st),
@@ -149,6 +154,8 @@ def _cmd_stringy_invariant(args) -> int:
 
 
 def _cmd_stringy_pair(args) -> int:
+    from . import stringy
+
     a = _parse_fraction(args.a)
     if args.stack:
         value = stringy.stack_pair_invariant(args.p, a)
@@ -160,6 +167,8 @@ def _cmd_stringy_pair(args) -> int:
 
 
 def _cmd_stringy_pointcount(args) -> int:
+    from . import stringy
+
     rep = stringy.RepType(args.p, _parse_dims(args.dims))
     count = stringy.origin_fiber_point_count(rep, args.q)
     _emit(_rat(count), args.format)
@@ -167,6 +176,8 @@ def _cmd_stringy_pointcount(args) -> int:
 
 
 def _cmd_covers_reduce(args) -> int:
+    from . import covers
+
     F = GF(args.p, _degree(args.p, args.q))
     cls = covers.reduce(F, _parse_series(F, args.series))
     _emit(cls.to_json(), args.format)
@@ -174,6 +185,8 @@ def _cmd_covers_reduce(args) -> int:
 
 
 def _cmd_covers_census(args) -> int:
+    from . import covers
+
     _degree(args.p, args.q)
     report = covers.enumerate_covers(args.q, args.max_exp, guard=args.max_enum)
     _emit(report.to_json(list_forms=args.list_forms), args.format)
@@ -181,6 +194,8 @@ def _cmd_covers_census(args) -> int:
 
 
 def _cmd_covers_count(args) -> int:
+    from . import covers
+
     _degree(args.p, args.q)
     if args.extensions:
         n = covers.count_extensions(args.q, args.jump)
@@ -191,7 +206,7 @@ def _cmd_covers_count(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from . import invariant_rings  # imported on use: stringy and covers calls never load it
+    from . import invariant_rings
 
     if args.relation == "v3":
         result = invariant_rings.verify_dim3_relation(args.p)
@@ -232,6 +247,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_suite(args) -> int:
+    from . import acceptance
+
     results = acceptance.run_suite(seed=args.seed, only=args.only)
     if not results:
         known = ", ".join(name for name, _ in acceptance.CRITERIA)
@@ -373,6 +390,17 @@ def main(argv=None) -> int:
         return EXIT_INTERNAL
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+def __getattr__(name):
+    # `wildmckay.cli.acceptance` stays readable for perfbench/run.py, which
+    # reads CRITERIA through it when tracing; ROADMAP item 2 points that
+    # reader at wildmckay.acceptance, and then this hook can go.
+    if name == "acceptance":
+        from . import acceptance
+
+        return acceptance
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def entry() -> None:

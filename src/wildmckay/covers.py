@@ -26,22 +26,12 @@ import math
 from collections import Counter
 
 from . import laurent
-from .gf import GF, GaloisField, InternalMismatch, PreconditionError, require_prime_power
+from .gf import MAX_COUNT_BITS, GF, GaloisField, InternalMismatch, InvalidJump, PreconditionError, require_prime_power
 from .laurent import nonzero_codes
-
-
-class InvalidJump(PreconditionError):
-    """Positive ramification jumps must be coprime to p."""
 
 
 class EnumerationTooLarge(PreconditionError):
     """The requested census exceeds the enumeration guard."""
-
-
-# Output guard on the stratum counts, in bits: printing a 2^20-bit integer
-# already takes over a second, and forming q^k at a jump near 10^11 never ends.
-# It also bounds the witness chain of one term of a reduced polynomial.
-MAX_COUNT_BITS = 2 ** 20
 
 
 class CountTooLarge(PreconditionError):

@@ -31,6 +31,18 @@ class PreconditionError(ValueError):
     """An input violates a documented precondition (the CLI's exit 2)."""
 
 
+class InvalidJump(PreconditionError):
+    """Positive ramification jumps must be coprime to p."""
+
+
+# Output guard on the stratum counts, in bits: printing a 2^20-bit integer
+# already takes over a second, and forming q^k at a jump near 10^11 never ends.
+# It also bounds the witness chain of one term of a reduced polynomial and the
+# stringy point counts.  It lives here, with InvalidJump, so that stringy
+# reads both without importing covers.
+MAX_COUNT_BITS = 2 ** 20
+
+
 # Deterministic Miller-Rabin: the first 13 prime bases decide primality
 # exactly for every n below this bound (Sorenson-Webster, Math. Comp. 2017).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)

@@ -31,8 +31,7 @@ import itertools
 from collections import Counter
 from fractions import Fraction
 
-from .covers import MAX_COUNT_BITS, InvalidJump
-from .gf import PreconditionError, prime_power_decomposition, require_prime
+from .gf import MAX_COUNT_BITS, InvalidJump, PreconditionError, prime_power_decomposition, require_prime
 from .motivic import L, MotivicValue, Rat, _add_terms, _mul_terms
 
 
@@ -59,18 +58,18 @@ class DegreeTooLarge(PreconditionError):
 
 
 class PointCountTooLarge(PreconditionError):
-    """A point count's unreduced size exceeds covers.MAX_COUNT_BITS."""
+    """A point count's unreduced size exceeds gf.MAX_COUNT_BITS."""
 
 
 # Work guard on the shift numbers, counted in floor terms: sht(1), ...,
-# sht(p-1) take (p - 1) * sum (d - 1) of them.  `stringy invariant` forms
-# that list four times and `stringy pointcount` once, and neither the degree
-# nor the output guard bounds it: unguarded, p = 65521 with dims 363 took
-# 11 s, p = 10^9 + 7 with dims 44722 did not finish, and a pointcount at
-# p = 30011 over 65000 summands of dimension 2 ran past 15 s.  At this bound
-# the slowest accepted `stringy invariant` takes about 1 s in a fresh process
-# (CPython 3.11, one core of a 2-vCPU Xeon): p = 997 with 997 summands of
-# dimension 2; p = 7937 with its smallest KLT dims 127 takes 0.45 s.
+# sht(p-1) take (p - 1) * sum (d - 1) of them.  Each call forms that list
+# once (shift_numbers), and neither the degree nor the output guard bounds
+# it: unguarded, p = 65521 with dims 363 took 11 s, p = 10^9 + 7 with dims
+# 44722 did not finish, and a pointcount at p = 30011 over 65000 summands of
+# dimension 2 ran past 15 s.  At this bound the slowest accepted `stringy
+# invariant` takes about 0.55 s in a fresh process (CPython 3.11, one core of
+# a 2-vCPU Xeon): p = 997 with 997 summands of dimension 2; p = 7937 with
+# its smallest KLT dims 127 takes 0.22 s.
 MAX_SHIFT_WORK = 10 ** 6
 
 
@@ -90,7 +89,7 @@ class RepType:
     immutable value, equal to and hashed like any RepType with the same
     p and dims."""
 
-    __slots__ = ("p", "dims")
+    __slots__ = ("p", "dims", "_shifts")  # _shifts: see shift_numbers
     p: int
     dims: tuple[int, ...]
 
@@ -147,6 +146,16 @@ def shift_number(rep: RepType, j: int) -> int:
     return sum(i * j // rep.p for d in rep.dims for i in range(1, d))
 
 
+def shift_numbers(rep: RepType) -> tuple[int, ...]:
+    """(sht(1), ..., sht(p-1)), formed once per RepType and kept on it."""
+    try:
+        return rep._shifts
+    except AttributeError:
+        shifts = tuple(shift_number(rep, s) for s in range(1, rep.p))
+        object.__setattr__(rep, "_shifts", shifts)
+        return shifts
+
+
 def _require_shift_work(rep: RepType) -> None:
     if (work := (rep.p - 1) * sum(d - 1 for d in rep.dims)) > MAX_SHIFT_WORK:
         raise ShiftWorkTooLarge(f"the shift numbers of p = {rep.p} take {work} floor terms, "
@@ -179,7 +188,7 @@ def _twisted_sum(rep: RepType, head: dict[int, int], coeff: dict[int, int]) -> M
     _require_degree(rep.dim - ratio)
     _require_shift_work(rep)
     den = {0: 1, ratio: -1}
-    s_sum = Counter(s - shift_number(rep, s) for s in range(1, rep.p))
+    s_sum = Counter(s - sht for s, sht in enumerate(shift_numbers(rep), 1))
     num = _add_terms(_mul_terms(head, den), _mul_terms(coeff, s_sum))
     return MotivicValue.from_terms(num, den)
 
@@ -249,7 +258,7 @@ def origin_fiber_point_count(rep: RepType, q: int) -> Fraction:
     _require_shift_work(rep)
     # (p-1)/p * N_{q,s} / q^sht(s) = (q-1) q^(s-1-sht(s)), and the jump np+s
     # scales it by q^(-kn); scaled by q^m, every such lead is an integer
-    exps = [s - 1 - shift_number(rep, s) for s in range(1, p)]
+    exps = [s - 1 - sht for s, sht in enumerate(shift_numbers(rep), 1)]
     m = max(0, -min(exps))
     guard(m + k + p)
     leads = sum((q - 1) * q ** (e + m) for e in exps)

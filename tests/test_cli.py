@@ -63,6 +63,14 @@ class TestStringyCommands:
         assert code == 0
         assert len(calls) == 3  # M_st, E0 and the projectivization
 
+    def test_invariant_forms_the_shift_numbers_once(self, capsys, monkeypatch):
+        calls = []
+        shift_number = stringy.shift_number
+        monkeypatch.setattr(stringy, "shift_number", lambda rep, j: calls.append(j) or shift_number(rep, j))
+        code, _ = run(capsys, "stringy", "invariant", "--p", "13", "--dims", "13,13")
+        assert code == 0
+        assert calls == list(range(1, 13))  # sht(1), ..., sht(p-1), each once
+
     def test_invariant_not_klt_exit_2(self, capsys):
         code, _ = run(capsys, "stringy", "invariant", "--p", "2", "--dims", "2")
         assert code == 2

@@ -2,8 +2,8 @@
 method, is read somewhere in the package outside its own body.  A function
 or class counts as read through a name or an attribute; a method only
 through an attribute, so a local variable of the same name does not keep it.
-The names of `wildmckay.__all__` and the API the README documents are
-exempt."""
+The names of `wildmckay.__all__`, the API the README documents and the
+module hooks of PEP 562, which Python calls by itself, are exempt."""
 
 import ast
 from pathlib import Path
@@ -13,6 +13,8 @@ import wildmckay
 SOURCES = sorted(Path(wildmckay.__file__).parent.glob("*.py"))
 # README-documented API that the package itself does not call
 DOCUMENTED = {"schema_path", "poincare_polynomial", "dimension"}
+# module-level __getattr__ and __dir__ (PEP 562): the import system calls them
+MODULE_HOOKS = {"__getattr__", "__dir__"}
 
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
@@ -34,7 +36,7 @@ def dead_names(sources: list[str], exempt=frozenset()) -> list[str]:
     defined = []  # (name, definition, only attribute reads count)
     for tree in trees:
         for node in tree.body:
-            if isinstance(node, DEFS):
+            if isinstance(node, DEFS) and node.name not in MODULE_HOOKS:
                 defined.append((node.name, node, False))
             if isinstance(node, ast.ClassDef):
                 defined += [
@@ -62,9 +64,12 @@ def test_the_check_sees_names_only_tests_read():
         "    def trim(self): return self\n"
         "    def dual(self): return self.scale\n"
         "def exported(): pass\n"
+        "def __getattr__(name): raise AttributeError(name)\n"
+        "def __dir__(): return []\n"
+        "def __other__(): pass\n"
     )
     elsewhere = "def caller(s):\n    shift = 2\n    return s.dual(shift), Series\n"
-    assert dead_names([source, elsewhere], exempt={"exported"}) == ["recursive", "shift", "caller"]
+    assert dead_names([source, elsewhere], exempt={"exported"}) == ["recursive", "shift", "__other__", "caller"]
 
 
 def test_no_dead_names():
