@@ -10,7 +10,6 @@ and the verdicts are properties of the code, not of the seed.
 
 from __future__ import annotations
 
-import functools
 import random
 import time
 from fractions import Fraction
@@ -123,19 +122,12 @@ def crit_duality(rng) -> _Tally:
 CENSUS_CASES = ((2, 2, 8), (2, 4, 4), (3, 3, 5))
 
 
-@functools.cache
-def _census(q: int, max_exp: int) -> covers.CensusReport:
-    """The census at (q, max_exp), enumerated once for the three criteria
-    that read it: point-count, cover-census and jump-oracle, in that order."""
-    return covers.enumerate_covers(q, max_exp)
-
-
 def crit_point_count(rng) -> _Tally:
     """Weighted extension counts against point counts of the stratum
     integral, which must also equal the closed-form fiber class, and, for
     each q the battery has a census over, against the count read off it."""
     t = _Tally()
-    reports = {q: _census(q, max_exp) for _, q, max_exp in CENSUS_CASES}
+    reports = {q: covers.enumerate_covers(q, max_exp) for _, q, max_exp in CENSUS_CASES}
     for rep in _klt_grid((2, 3), 3):
         integral = _fiber_class_via_strata(rep)
         closed = stringy.origin_fiber_class(rep)
@@ -160,7 +152,7 @@ def crit_census(rng) -> _Tally:
     """Brute-force reduction census against the stratum formulas."""
     t = _Tally()
     for p, q, max_exp in CENSUS_CASES:
-        rep_report = _census(q, max_exp)
+        rep_report = covers.enumerate_covers(q, max_exp)
         t.equal(rep_report.class_count, q ** (max_exp - max_exp // p), f"class count q={q} J={max_exp}")
         t.check(rep_report.fibers_uniform, f"uniform fibers q={q} J={max_exp}")
         t.check(rep_report.witnesses_ok, f"witness soundness q={q} J={max_exp}")
@@ -175,15 +167,13 @@ def crit_jump_oracle(rng) -> _Tally:
     pole, so a wrong witness or jump shows in the norms."""
     t = _Tally()
     for p, q, max_exp in CENSUS_CASES:
-        report = _census(q, max_exp)
+        report = covers.enumerate_covers(q, max_exp)
         for cls in report.classes:
             if cls.jump == 0:
                 continue
             F = cls.field
             f = add(F, cls.lift(), artin_schreier(F, {-cls.jump: 1}))
             t.check(covers.verify_jump(F, f), f"verify_jump q={q} {cls!r}")
-    # the census's last reader in CRITERIA: the criteria after it run without it
-    _census.cache_clear()
     return t
 
 

@@ -17,11 +17,19 @@ ramification jump, stratum counting formulas, a brute-force census engine
 that cross-checks them, and an independent jump oracle: for a Laurent
 polynomial f it computes in F_q((t))[g]/(g^p - g + f) exactly and reads
 every valuation off a norm, v(x) = ord_t N(x).
+
+The census reduces every input on its own but shares work between inputs:
+the reduction runs from the most negative exponent up, and a witness made
+at t^-i only carries into t^-(i/p), so the coefficient at t^-i, its
+witness and its share of the class key depend only on the coefficients at
+t^-i and below.  enumerate_covers walks the inputs as an odometer and
+settles each such coefficient once per prefix, checking the witness
+identity of _witnesses_hold, v - frob(r) = 0, at every level that makes a
+witness.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import Counter
 
@@ -350,6 +358,19 @@ def enumerate_covers(q: int, max_exp: int, guard: int = 10 ** 7) -> CensusReport
     The report records, for each jump j <= max_exp, the number of distinct
     normal forms against the stratum formula, and checks that every
     reduction fiber has exactly q^floor(max_exp/p) elements.
+
+    The inputs are walked as an odometer of digits, the digit at t^-1
+    turning fastest, and each step settles again only the levels from the
+    highest changed digit down to t^-1.  This is the reduction of
+    _reduce_codes, level by level: level i reads the carry from level p*i
+    and sets v = c + carry.  When p divides i and v != 0, the witness
+    r = root(v) carries to level i/p, and the witness identity of
+    _witnesses_hold for that coefficient, v - frob(r) = 0, is checked there
+    with Frobenius, not the root.  Otherwise a nonzero v puts (i, v) on the
+    class key.  Level i depends only on the digits at t^-max_exp ... t^-i,
+    so one settled level serves every input with that prefix, and each
+    input is reduced and checked on its own path: its witness check is the
+    conjunction of the checks of the witness levels on that path.
     """
     p, e = require_prime_power(q)
     if max_exp < 0:
@@ -358,16 +379,39 @@ def enumerate_covers(q: int, max_exp: int, guard: int = 10 ** 7) -> CensusReport
     if max_exp >= guard.bit_length() or q ** max_exp > guard:
         raise EnumerationTooLarge(f"{q}^{max_exp} exceeds the enumeration guard {guard}")
     F = GF(p, e)
-    exponents = range(-1, -max_exp - 1, -1)
-    fibers = {}
+    add, _, frob, root, trace, _ = F.codes
+    # per level i in 1..max_exp: its digit, the witness root carried in from
+    # level p*i (0 for none), and the key pairs (index, code) of levels i and up
+    digit = [0] * (max_exp + 2)
+    carry = [0] * (max_exp + 2)
+    pairs = [()] * (max_exp + 2)
+    counts = {}
     witnesses_ok = True
-    for combo in itertools.product(range(q), repeat=max_exp):
-        f = {e: c for e, c in zip(exponents, combo) if c}
-        rep, const, witnesses = _reduce_codes(F, f)
-        witnesses_ok &= _witnesses_hold(F, f, rep, const, witnesses)
-        k = (tuple(sorted((-e, c) for e, c in rep.items())), const)  # == ASCoverClass.key()
-        fibers[k] = fibers.get(k, 0) + 1
-    fibers = dict(sorted(fibers.items()))
+    top = max_exp
+    while True:
+        for i in range(top, 0, -1):
+            c, r = digit[i], carry[i]
+            v = add(c, r) if r else c
+            if i % p == 0:
+                if v:
+                    r = root(v)
+                    witnesses_ok &= frob(r) == v
+                    carry[i // p] = r
+                else:
+                    carry[i // p] = 0
+                pairs[i] = pairs[i + 1]
+            else:
+                pairs[i] = ((i, v),) + pairs[i + 1] if v else pairs[i + 1]
+        counts[pairs[1]] = counts.get(pairs[1], 0) + 1
+        top = 1
+        while top <= max_exp and digit[top] == q - 1:
+            digit[top] = 0
+            top += 1
+        if top > max_exp:
+            break
+        digit[top] += 1
+    const = trace(0)  # no input has a constant term
+    fibers = {(coeffs, const): n for coeffs, n in sorted(counts.items())}  # keys as ASCoverClass.key()
     classes = [ASCoverClass._of(F, dict(coeffs), const) for coeffs, const in fibers]
     hist = Counter(cls.jump for cls in classes)
     expected = {j: count_rep_covers(q, j) for j in range(max_exp + 1) if j == 0 or j % p}

@@ -107,10 +107,6 @@ def test_wrong_reduction_fails_the_jump_oracle(monkeypatch, mutation):
     # the oracle reads the cover through norms, so it rejects a reduction
     # that drops its witnesses or reports too large a jump
     monkeypatch.setattr(covers, "_reduce_codes", mutation(covers._reduce_codes))
-    acceptance._census.cache_clear()
-    try:
-        result = run_criterion("jump-oracle")
-    finally:
-        acceptance._census.cache_clear()
+    result = run_criterion("jump-oracle")
     assert not result.ok
     assert result.checks == 110

@@ -1,10 +1,12 @@
 """Cover classification: reduction, jumps, the norm-based jump oracle, census."""
 
+import itertools
 import os
 import random
 import subprocess
 import sys
 import time
+from collections import Counter
 
 import pytest
 import sympy
@@ -25,7 +27,7 @@ from wildmckay.covers import (
     verify_jump,
     witnesses_account_for,
 )
-from wildmckay.gf import GF, InternalMismatch, PreconditionError
+from wildmckay.gf import GF, InternalMismatch, PreconditionError, require_prime_power
 from wildmckay import laurent
 from wildmckay.laurent import artin_schreier, nonzero_codes
 
@@ -340,6 +342,18 @@ class TestCounting:
                 assert total == q ** (max_j - max_j // p)
 
 
+def census_by_reduction(F, max_exp):
+    """The census's fibers and witness verdict, with each input of
+    itertools.product reduced and checked alone by the public functions."""
+    fibers, held = Counter(), True
+    for combo in itertools.product(range(F.order), repeat=max_exp):
+        f = {-i: c for i, c in enumerate(combo, 1)}
+        cls, witnesses = reduce_with_witnesses(F, f)
+        fibers[cls.key()] += 1
+        held &= witnesses_account_for(F, f, cls, witnesses)
+    return fibers, held
+
+
 class TestCensus:
     def test_tiny_f2(self):
         report = enumerate_covers(2, 2)
@@ -373,6 +387,17 @@ class TestCensus:
         a = enumerate_covers(2, 4).to_json(list_forms=True)
         b = enumerate_covers(2, 4).to_json(list_forms=True)
         assert a == b
+
+    @pytest.mark.parametrize("q,max_exp", [(2, 0), (2, 8), (3, 5), (4, 4), (8, 3), (9, 2)])
+    def test_census_matches_the_reduction_of_every_input(self, q, max_exp):
+        # the census settles coefficients once per prefix; the public
+        # reduction and witness check, run on each input alone, must give
+        # the same fibers and the same witness verdict
+        report = enumerate_covers(q, max_exp)
+        fibers, held = census_by_reduction(GF(*require_prime_power(q)), max_exp)
+        assert fibers == report.fiber_sizes
+        assert held is report.witnesses_ok is True
+        assert sum(fibers.values()) == report.total_inputs == q ** max_exp
 
 
 class TestIntCodedCore:
@@ -410,18 +435,42 @@ class TestIntCodedCore:
                 assert not witnesses_account_for(F, codes, cls, wits[1:])
                 assert not self.laurent_route(F, codes, cls, wits[1:])
 
-    @pytest.mark.parametrize("map_name,index", [("pth_root", 3), ("frobenius", 2)])
-    def test_wrong_field_map_fails_the_census(self, map_name, index, monkeypatch, capsys):
+    @pytest.mark.parametrize("map_name,index,p,e", [
+        pytest.param("pth_root", 3, 2, 2, id="pth_root-3"),
+        pytest.param("frobenius", 2, 2, 2, id="frobenius-2"),
+        pytest.param("pth_root", 3, 3, 2, id="pth_root-3-F9"),
+        pytest.param("frobenius", 2, 3, 2, id="frobenius-2-F9"),
+    ])
+    def test_wrong_field_map_fails_the_census(self, map_name, index, p, e, monkeypatch, capsys):
         # root and Frobenius are memoized separately, so one wrong entry in
-        # either makes the reduction and its check disagree
-        F4 = GF(2, 2)
-        memo = F4.codes[index].__self__
-        right = getattr(Reference(F4), map_name)(1)
+        # either makes the reduction and its check disagree; over F_4 add is
+        # XOR, over F_9 add and neg are memoized maps too
+        F = GF(p, e)
+        memo = F.codes[index].__self__
+        right = getattr(Reference(F), map_name)(1)
         monkeypatch.setitem(memo, 1, right ^ 2)
-        report = enumerate_covers(4, 4)
+        report = enumerate_covers(F.order, 4)
         assert report.witnesses_ok is False and report.all_ok is False
-        assert main(["covers", "census", "--p", "2", "--q", "4", "--max-exp", "4"]) == 3
+        # the public reduction, run on each input alone, fails its check too
+        assert census_by_reduction(F, 4) == (report.fiber_sizes, False)
+        argv = ["covers", "census", "--p", str(p), "--q", str(F.order), "--max-exp", "4"]
+        assert main(argv) == 3
         assert '"witnesses_ok": false' in capsys.readouterr().out
+
+    @pytest.mark.parametrize("p,e", [(2, 2), (3, 2)])
+    def test_census_follows_a_wrong_add(self, p, e, monkeypatch):
+        # every fiber has q^floor(J/p) inputs whatever the carries are, so
+        # right fibers alone do not show that each input reached its class;
+        # a wrong add(1, 1) that collides with add(0, 1) makes them uneven,
+        # and the census must still find the fibers of the reduction of
+        # each input (the witness verdicts may differ: the census checks
+        # v = frob(r), the public check sums with add)
+        F = GF(p, e)
+        add = F.codes[0]
+        monkeypatch.setattr(F, "codes", (lambda a, b: add(0, b) if (a, b) == (1, 1) else add(a, b),) + F.codes[1:])
+        report = enumerate_covers(F.order, 4)
+        assert report.fibers_uniform is False
+        assert census_by_reduction(F, 4)[0] == report.fiber_sizes
 
     def test_one_class_object_per_class(self, monkeypatch):
         built = []
