@@ -276,7 +276,7 @@ def _random_motivic(rng) -> MotivicValue:
         den = {0: 1}
     if not any(num.values()):
         num = {1: 1}
-    return MotivicValue.from_terms(num, den, scale)
+    return MotivicValue(num, den, scale)
 
 
 CRITERIA = (

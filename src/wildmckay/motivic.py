@@ -10,6 +10,13 @@ with integer coefficients, kept in a unique canonical form:
   * the coefficient vectors are jointly primitive over Z,
   * the scale r is minimal.
 
+A value has one constructor, MotivicValue(num, den=None, scale=1), from
+{exponent: coefficient} dicts in L^(1/scale).  It refuses inexact input:
+a ValueError unless every exponent and coefficient is an int and the scale
+an int >= 1; l_power, from_rational, geometric_sum and evaluate take only
+an int or a Fraction.  Each of + - * / builds its result as one fraction
+over the lcm scale and reduces it once.
+
 Values are immutable; equality is equality of canonical forms.  The
 realizations substitute a number for L: a prime power q for point counts,
 1 for the topological Euler characteristic, T^2 for the Poincare
@@ -46,29 +53,14 @@ class PoleAtOne(ZeroDivisionError):
 
 
 class LefschetzPoly:
-    """Laurent polynomial sum_k c_k * L^(k/r), as {k: c} with scale r.
-
-    Stored coefficients are nonzero integers; k may be negative.
-    """
+    """Laurent polynomial sum_k c_k * L^(k/r), as {k: c} with scale r: the
+    record of a MotivicValue's numerator or denominator, terms as given."""
 
     __slots__ = ("terms", "scale")
 
     def __init__(self, terms: dict[int, int], scale: int = 1):
-        if scale < 1:
-            raise ValueError("scale must be a positive integer")
-        self.terms = {int(k): int(c) for k, c in terms.items() if c != 0}
+        self.terms = terms
         self.scale = scale
-
-    def rescaled(self, new_scale: int) -> "LefschetzPoly":
-        if new_scale == self.scale:
-            return self
-        if new_scale % self.scale:
-            raise ValueError("can only rescale to a multiple of the current scale")
-        m = new_scale // self.scale
-        return LefschetzPoly({k * m: c for k, c in self.terms.items()}, new_scale)
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def evaluate(self, x0: Fraction) -> Fraction:
         """Value at x = L^(1/scale) = x0 (x0 nonzero if negative exponents): with
@@ -85,10 +77,20 @@ class LefschetzPoly:
         return Fraction(acc * n ** max(lo, 0) * d ** max(-hi, 0), n ** max(-lo, 0) * d ** max(hi, 0))
 
 
-def _merge(*polys: LefschetzPoly):
-    """The terms of polys rescaled to the lcm of their scales, and that scale."""
-    r = math.lcm(*(poly.scale for poly in polys))
-    return [poly.rescaled(r).terms for poly in polys], r
+def _exact(x: Rat) -> Fraction:
+    """x as a Fraction; TypeError unless x is an int or a Fraction."""
+    if not isinstance(x, (int, Fraction)):
+        raise TypeError(f"{x!r} is not an int or a Fraction")
+    return Fraction(x)
+
+
+def _nonzero_terms(terms: dict) -> dict[int, int]:
+    """The nonzero terms of {k: c}; ValueError unless every k and c is an int,
+    not a bool or a float."""
+    if not {*map(type, terms), *map(type, terms.values())} <= {int}:
+        bad = next(x for x in (*terms, *terms.values()) if type(x) is not int)
+        raise ValueError(f"exponent or coefficient {bad!r} is not an int")
+    return {k: c for k, c in terms.items() if c}
 
 
 def _add_terms(a: dict, b: dict) -> dict:
@@ -118,97 +120,92 @@ def _mul_terms(a: dict, b: dict) -> dict:
     return out
 
 
+def _at_common_scale(a: "MotivicValue", b: "MotivicValue"):
+    """The terms an, ad, bn, bd of a and b in L^(1/r), r the lcm of their
+    scales, and r."""
+    r = math.lcm(a.scale, b.scale)
+
+    def lift(poly):
+        m = r // poly.scale
+        return poly.terms if m == 1 else {k * m: c for k, c in poly.terms.items()}
+
+    return lift(a.num), lift(a.den), lift(b.num), lift(b.den), r
+
+
 class MotivicValue:
-    """A canonical rational function in L^(1/r) with integer coefficients."""
+    """A canonical rational function in L^(1/r) with integer coefficients,
+    built from the term dicts num and den (None for 1) in L^(1/scale)."""
 
-    __slots__ = ("num", "den", "var")
+    __slots__ = ("num", "den")
+    var = "L"
 
-    def __init__(self, num: LefschetzPoly, den: LefschetzPoly, var: str = "L"):
-        if den.is_zero():
+    def __init__(self, num: dict[int, int], den: dict[int, int] | None = None, scale: int = 1):
+        if type(scale) is not int or scale < 1:
+            raise ValueError(f"scale {scale!r} is not an int >= 1")
+        num, den = _nonzero_terms(num), _nonzero_terms({0: 1} if den is None else den)
+        if not den:
             raise ZeroDivisionError("zero denominator")
-        (n_terms, d_terms), scale = _merge(num, den)
-        n_terms, d_terms, scale = _canonicalize(n_terms, d_terms, scale)
-        self.num = LefschetzPoly(n_terms, scale)
-        self.den = LefschetzPoly(d_terms, scale)
-        self.var = var
+        num, den, scale = _canonicalize(num, den, scale)
+        self.num = LefschetzPoly(num, scale)
+        self.den = LefschetzPoly(den, scale)
 
     # -- constructors --
 
     @classmethod
-    def from_terms(cls, num_terms: dict[int, int], den_terms=None, scale: int = 1):
-        if den_terms is None:
-            den_terms = {0: 1}
-        return cls(LefschetzPoly(num_terms, scale), LefschetzPoly(den_terms, scale))
-
-    @classmethod
     def zero(cls):
-        return cls.from_terms({})
+        return cls({})
 
     @classmethod
     def one(cls):
-        return cls.from_terms({0: 1})
+        return cls({0: 1})
 
     @classmethod
     def from_rational(cls, a: Rat):
-        a = Fraction(a)
-        return cls.from_terms({0: a.numerator}, {0: a.denominator})
+        a = _exact(a)
+        return cls({0: a.numerator}, {0: a.denominator})
 
     @classmethod
     def l_power(cls, e: Rat):
         """The value L^e for a rational exponent e."""
-        e = Fraction(e)
-        return cls.from_terms({e.numerator: 1}, None, e.denominator)
+        e = _exact(e)
+        return cls({e.numerator: 1}, None, e.denominator)
 
-    # -- ring structure --
+    # -- ring structure: each operation reduces its result once --
 
     @property
     def scale(self) -> int:
         return self.num.scale
 
     def _coerce(self, other) -> "MotivicValue":
-        if isinstance(other, MotivicValue):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return MotivicValue.from_rational(other)
-        raise TypeError(f"cannot combine MotivicValue with {type(other).__name__}")
+        return other if isinstance(other, MotivicValue) else MotivicValue.from_rational(other)
 
     def __add__(self, other):
-        other = self._coerce(other)
-        (an, ad, bn, bd), r = _merge(self.num, self.den, other.num, other.den)
-        num = _add_terms(_mul_terms(an, bd), _mul_terms(bn, ad))
-        den = _mul_terms(ad, bd)
-        return MotivicValue(LefschetzPoly(num, r), LefschetzPoly(den, r), self.var)
+        an, ad, bn, bd, r = _at_common_scale(self, self._coerce(other))
+        return type(self)(_add_terms(_mul_terms(an, bd), _mul_terms(bn, ad)), _mul_terms(ad, bd), r)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MotivicValue(
-            LefschetzPoly({k: -c for k, c in self.num.terms.items()}, self.scale),
-            self.den,
-            self.var,
-        )
+        return type(self)({k: -c for k, c in self.num.terms.items()}, self.den.terms, self.scale)
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        an, ad, bn, bd, r = _at_common_scale(self, self._coerce(other))
+        minus_ad = {k: -c for k, c in ad.items()}
+        return type(self)(_add_terms(_mul_terms(an, bd), _mul_terms(bn, minus_ad)), _mul_terms(ad, bd), r)
 
     def __rsub__(self, other):
         return self._coerce(other) - self
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        (an, ad, bn, bd), r = _merge(self.num, self.den, other.num, other.den)
-        return MotivicValue(
-            LefschetzPoly(_mul_terms(an, bn), r), LefschetzPoly(_mul_terms(ad, bd), r), self.var
-        )
+        an, ad, bn, bd, r = _at_common_scale(self, self._coerce(other))
+        return type(self)(_mul_terms(an, bn), _mul_terms(ad, bd), r)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = self._coerce(other)
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero value")
-        inv = MotivicValue(other.den, other.num, self.var)
-        return self * inv
+        # a zero divisor leaves a zero denominator, which the constructor refuses
+        an, ad, bn, bd, r = _at_common_scale(self, self._coerce(other))
+        return type(self)(_mul_terms(an, bd), _mul_terms(ad, bn), r)
 
     def __rtruediv__(self, other):
         return self._coerce(other) / self
@@ -239,7 +236,7 @@ class MotivicValue:
         return not self.is_zero()
 
     def is_zero(self) -> bool:
-        return self.num.is_zero()
+        return not self.num.terms
 
     def is_polynomial(self) -> bool:
         """True iff the value lies in Z[L] (integral, non-negative exponents)."""
@@ -251,7 +248,7 @@ class MotivicValue:
 
     def evaluate(self, x0: Rat) -> Fraction:
         """Exact value after substituting L^(1/scale) = x0."""
-        x0 = Fraction(x0)
+        x0 = _exact(x0)
         d = self.den.evaluate(x0)
         if d == 0:
             raise ZeroDivisionError(f"pole at {x0}")
@@ -279,10 +276,8 @@ class MotivicValue:
 
     def poincare_polynomial(self) -> "MotivicValue":
         """Substitute L -> T^2; returns a value in the variable T."""
-        r = self.scale
-        num = LefschetzPoly({2 * k: c for k, c in self.num.terms.items()}, r)
-        den = LefschetzPoly({2 * k: c for k, c in self.den.terms.items()}, r)
-        return MotivicValue(num, den, var="T")
+        doubled = [{2 * k: c for k, c in poly.terms.items()} for poly in (self.num, self.den)]
+        return _PoincareValue(*doubled, self.scale)
 
     def dimension(self):
         """deg num - deg den in L-units (the virtual dimension); -inf for 0."""
@@ -292,11 +287,9 @@ class MotivicValue:
 
     def dual(self, d: int) -> "MotivicValue":
         """Substitute L -> L^(-1) and multiply by L^(d-1)."""
-        r = self.scale
-        shift = r * (d - 1)
-        num = LefschetzPoly({-k + shift: c for k, c in self.num.terms.items()}, r)
-        den = LefschetzPoly({-k: c for k, c in self.den.terms.items()}, r)
-        return MotivicValue(num, den, self.var)
+        shift = self.scale * (d - 1)
+        num = {-k + shift: c for k, c in self.num.terms.items()}
+        return type(self)(num, {-k: c for k, c in self.den.terms.items()}, self.scale)
 
     # -- serialization --
 
@@ -334,6 +327,13 @@ class MotivicValue:
 
     def __repr__(self):
         return f"MotivicValue({self})"
+
+
+class _PoincareValue(MotivicValue):
+    """A value in the variable T, the Poincare polynomial's."""
+
+    __slots__ = ()
+    var = "T"
 
 
 def _divide(a: dict[int, int], b: dict[int, int]) -> dict[int, int] | None:
@@ -445,7 +445,7 @@ def _canonicalize(num: dict[int, int], den: dict[int, int], scale: int):
     return num, den, scale
 
 
-L = MotivicValue.l_power(1)
+L = MotivicValue({1: 1})
 
 
 def geometric_sum(c: MotivicValue, e: Rat) -> MotivicValue:
@@ -454,9 +454,7 @@ def geometric_sum(c: MotivicValue, e: Rat) -> MotivicValue:
     Requires e < 0 (term dimensions tend to -infinity); the closed form is
     c / (1 - L^e), returned canonically.
     """
-    e = Fraction(e)
+    e = _exact(e)
     if e >= 0:
         raise DivergentSeries(f"geometric series with exponent {e} >= 0 diverges")
-    r = e.denominator
-    one_minus = MotivicValue.from_terms({0: 1, e.numerator: -1}, None, r)
-    return c / one_minus
+    return c / MotivicValue({0: 1, e.numerator: -1}, None, e.denominator)

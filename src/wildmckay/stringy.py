@@ -32,7 +32,7 @@ from collections import Counter
 from fractions import Fraction
 
 from .gf import MAX_COUNT_BITS, InvalidJump, PreconditionError, prime_power_decomposition, require_prime
-from .motivic import L, MotivicValue, Rat, _add_terms, _mul_terms
+from .motivic import L, MotivicValue, Rat, _add_terms, _exact, _mul_terms
 
 
 class NotStringilyKLT(ArithmeticError, PreconditionError):
@@ -190,7 +190,7 @@ def _twisted_sum(rep: RepType, head: dict[int, int], coeff: dict[int, int]) -> M
     den = {0: 1, ratio: -1}
     s_sum = Counter(s - sht for s, sht in enumerate(shift_numbers(rep), 1))
     num = _add_terms(_mul_terms(head, den), _mul_terms(coeff, s_sum))
-    return MotivicValue.from_terms(num, den)
+    return MotivicValue(num, den)
 
 
 def stringy_invariant(rep: RepType) -> MotivicValue:
@@ -269,7 +269,7 @@ def origin_fiber_point_count(rep: RepType, q: int) -> Fraction:
 def smooth_pair_invariant(d: int, a: Rat) -> MotivicValue:
     """Stringy invariant of affine d-space against a hyperplane with
     coefficient a < 1:  (L^d - L^(d-1)) + L^(d-1)(L-1)/(L^(1-a) - 1)."""
-    a = Fraction(a)
+    a = _exact(a)
     if a >= 1:
         raise NotKLT(f"coefficient a = {a} >= 1")
     _require_degree(d + 1 - a)
@@ -283,7 +283,7 @@ def stack_pair_invariant(p: int, a: Rat) -> MotivicValue:
     against a times its fixed locus, for a < 2 - p: the closed form
     (L^2 - L)/(1 - L^(a+p-2)) of its sector decomposition."""
     require_prime(p)
-    a = Fraction(a)
+    a = _exact(a)
     if a >= 2 - p:
         raise NotKLT(f"coefficient a = {a} >= 2 - p = {2 - p}")
     _require_degree(4 - a - p)

@@ -182,9 +182,9 @@ class TestExitCodes:
 
     def test_internal_value_error_is_not_a_precondition(self, capsys, monkeypatch):
         from wildmckay import stringy
-        from wildmckay.motivic import LefschetzPoly
+        from wildmckay.motivic import MotivicValue
 
-        monkeypatch.setattr(stringy, "projectivized_invariant", lambda rep: LefschetzPoly({0: 1}, 0))
+        monkeypatch.setattr(stringy, "projectivized_invariant", lambda rep: MotivicValue({0: 1}, None, 0))
         code = main(["stringy", "invariant", "--p", "3", "--dims", "3"])
         assert code == 1
         assert "internal error: ValueError" in capsys.readouterr().err

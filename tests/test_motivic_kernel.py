@@ -223,6 +223,20 @@ class TestIntegerKernel:
         # M_st, E0, the projectivized invariant and its dual: one reduction each
         assert len(calls) <= 4
 
+    @pytest.mark.parametrize("op", ["__add__", "__sub__", "__mul__", "__truediv__"])
+    def test_each_binary_operation_reduces_once(self, monkeypatch, op):
+        a = MotivicValue({2: 1, 0: -1}, {1: 1, 0: 2})  # (L^2 - 1)/(L + 2)
+        b = MotivicValue({3: 1, 1: -3}, {2: 1, 0: 1}, 2)  # (L^(3/2) - 3L^(1/2))/(L + 1)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _canonicalize(*args)
+
+        monkeypatch.setattr(motivic, "_canonicalize", counted)
+        getattr(a, op)(b)
+        assert len(calls) == 1
+
     def test_canonical_forms_match_sympy_cancel(self):
         rng = random.Random(13)
         for _ in range(120):
@@ -231,7 +245,7 @@ class TestIntegerKernel:
             den = {rng.randint(-3, 5): rng.randint(-4, 4) for _ in range(rng.randint(1, 4))}
             if not any(num.values()) or not any(den.values()):
                 continue
-            value = MotivicValue.from_terms(num, den, r)
+            value = MotivicValue(num, den, r)
             # x = L^(1/r): cancel num(x)/den(x) and put it in the canonical shape
             P, Q = sympy.fraction(sympy.cancel(_sympy_poly(num) / _sympy_poly(den)))
             p_terms, q_terms = _poly_terms(P), _poly_terms(Q)
@@ -249,14 +263,14 @@ class TestIntegerKernel:
     def test_equal_values_at_different_scales_hash_equal(self):
         half = MotivicValue.l_power(Fraction(1, 2))
         assert len({MotivicValue.l_power(Fraction(2, 2)), L, half * half}) == 1
-        built = MotivicValue.from_terms({6: 3, 0: -3}, {3: 1, 0: 1}, 6)  # 3(L - 1)/(L^(1/2) + 1)
+        built = MotivicValue({6: 3, 0: -3}, {3: 1, 0: 1}, 6)  # 3(L - 1)/(L^(1/2) + 1)
         same = 3 * (half - 1)
         assert built == same and hash(built) == hash(same)
         assert built.scale == 2
         assert len({built, same, half}) == 2
         # the same terms stored in another order
-        low_first = MotivicValue.from_terms({0: -1, 1: 1})
-        high_first = MotivicValue.from_terms({2: 1, 0: -1}, None, 2)
+        low_first = MotivicValue({0: -1, 1: 1})
+        high_first = MotivicValue({2: 1, 0: -1}, None, 2)
         assert list(low_first.num.terms) != list(high_first.num.terms)
         assert len({low_first, high_first, L - 1}) == 1
 

@@ -274,8 +274,8 @@ class TestPairInvariants:
 
 class TestProjectivization:
     def test_worked_examples(self):
-        assert projectivized_invariant(RepType(3, [3])) == MotivicValue.from_terms({2: 1, 1: 3, 0: 1})
-        assert projectivized_invariant(RepType(2, [2, 2])) == MotivicValue.from_terms(
+        assert projectivized_invariant(RepType(3, [3])) == MotivicValue({2: 1, 1: 3, 0: 1})
+        assert projectivized_invariant(RepType(2, [2, 2])) == MotivicValue(
             {3: 1, 2: 2, 1: 2, 0: 1}
         )
 
