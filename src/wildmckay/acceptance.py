@@ -88,10 +88,8 @@ def crit_worked_examples(rng) -> _Tally:
         # at residue s is l(s-1)(p-1)/2
         for s in range(1, p):
             t.equal(stringy.shift_number(rep, s), l * (s - 1) * (p - 1) // 2, f"sht closed form p={p} l={l} s={s}")
-        s_sum = MotivicValue.zero()
-        for s in range(1, p):
-            s_sum = s_sum + _lp(s - l * (s - 1) * (p - 1) // 2)
-        denom = MotivicValue.one() - _lp(p - 1 - l * p * (p - 1) // 2)
+        s_sum = sum(_lp(s - l * (s - 1) * (p - 1) // 2) for s in range(1, p))
+        denom = 1 - _lp(p - 1 - l * p * (p - 1) // 2)
         want = _lp(l * p) + (L - 1) * _lp(l - 1) * s_sum / denom
         t.equal(stringy.stringy_invariant(rep), want, f"full-summand closed form p={p} l={l}")
     return t
@@ -241,7 +239,7 @@ def crit_property_suites(rng) -> _Tally:
         e = Fraction(-rng.randint(1, 5), rng.randint(1, 3))
         total = geometric_sum(c, e)
         t.check(
-            (MotivicValue.one() - MotivicValue.l_power(e)) * total == c,
+            (1 - MotivicValue.l_power(e)) * total == c,
             f"geometric identity e={e}",
         )
     # point counting is a ring homomorphism

@@ -34,7 +34,8 @@ import math
 from collections import Counter
 
 from . import laurent
-from .gf import MAX_COUNT_BITS, GF, GaloisField, InternalMismatch, InvalidJump, PreconditionError, require_prime_power
+from .gf import MAX_COUNT_BITS, GF, GaloisField, InternalMismatch, InvalidJump, PreconditionError, _require_int
+from .gf import require_prime_power
 from .laurent import nonzero_codes
 
 
@@ -55,6 +56,7 @@ class ASCoverClass:
 
     def __init__(self, field: GaloisField, coeffs=None, const_class: int = 0):
         coeffs = nonzero_codes(field, coeffs)
+        _require_int(const_class, "const_class")
         for i in coeffs:
             if i <= 0 or i % field.p == 0:
                 raise ValueError(f"exponent index {i} must be positive and coprime to {field.p}")
@@ -201,6 +203,7 @@ def uniformizer_params(p: int, j: int) -> tuple[int, int, int, int]:
     Then t^(l'q'-c') g^(l') has valuation p(l'q'-c') - l'j = 1 in the cover
     ring, i.e. it is a uniformizer.
     """
+    _require_int(j, "jump")
     if j <= 0 or j % p == 0:
         raise InvalidJump(f"jump {j} must be positive and coprime to {p}")
     r_ = (-j) % p
@@ -288,6 +291,7 @@ def count_rep_covers(q: int, j: int) -> int:
     """Number of representative polynomials over F_q with jump exactly j:
     (q-1) * q^(j-1-floor(j/p)) for j > 0 coprime to p, and 1 for j = 0."""
     p = require_prime_power(q)[0]
+    _require_int(j, "jump")
     if j == 0:
         return 1
     if j < 0 or j % p == 0:
@@ -307,6 +311,7 @@ def count_extensions(q: int, j: int) -> int:
     Galois-group generator), so N = p * count_rep_covers(q, j) / (p - 1);
     this is always an integer."""
     p = require_prime_power(q)[0]
+    _require_int(j, "jump")
     if j <= 0 or j % p == 0:
         raise InvalidJump(f"jump {j} must be positive and coprime to {p}")
     n, r = divmod(p * count_rep_covers(q, j), p - 1)
@@ -373,6 +378,8 @@ def enumerate_covers(q: int, max_exp: int, guard: int = 10 ** 7) -> CensusReport
     conjunction of the checks of the witness levels on that path.
     """
     p, e = require_prime_power(q)
+    _require_int(max_exp, "max_exp")
+    _require_int(guard, "guard")
     if max_exp < 0:
         raise PreconditionError(f"max_exp {max_exp} must be non-negative")
     # q >= 2, so max_exp >= guard.bit_length() already means q^max_exp > guard

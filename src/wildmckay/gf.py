@@ -53,9 +53,17 @@ class PrimalityUnproven(PreconditionError):
     """n passed every Miller-Rabin base but lies above the bound where that is a proof."""
 
 
+def _require_int(n, name: str) -> None:
+    """TypeError unless n is an int, not a bool or a float."""
+    if type(n) is not int:
+        raise TypeError(f"{name} {n!r} is not an int")
+
+
 def is_prime(n: int) -> bool:
     """Exact primality below MR_BOUND; above it a composite found by a witness
-    is reported, and otherwise PrimalityUnproven is raised rather than a guess."""
+    is reported, and otherwise PrimalityUnproven is raised rather than a guess.
+    TypeError unless n is an int."""
+    _require_int(n, "p")
     if n < 2:
         return False
     for b in _MR_BASES:
@@ -96,7 +104,9 @@ def prime_power_decomposition(q: int) -> tuple[int, int] | None:
     """Return (p, e) with q = p^e and p prime, or None.
 
     q is written as r^e with e as large as possible, by exact integer k-th
-    roots for prime k; q is a prime power iff that root r is prime."""
+    roots for prime k; q is a prime power iff that root r is prime.
+    TypeError unless q is an int."""
+    _require_int(q, "q")
     if q < 2:
         return None
     r, e, k = q, 1, 2
@@ -326,6 +336,7 @@ class GaloisField:
 
     def __init__(self, p: int, e: int):
         require_prime(p)
+        _require_int(e, "extension degree")
         if e < 1:
             raise PreconditionError("extension degree must be >= 1")
         self.p = p
@@ -385,7 +396,8 @@ class GaloisField:
         return f"GF({self.p}, {self.e})"
 
 
-@functools.cache
+@functools.lru_cache(maxsize=None, typed=True)
 def GF(p: int, e: int = 1) -> GaloisField:
-    """Cached field constructor, so GF(p, e) is a singleton per (p, e)."""
+    """Cached field constructor, so GF(p, e) is a singleton per (p, e).  Typed,
+    so that GF(2.0, 1) misses GF(2, 1) and meets the int check."""
     return GaloisField(p, e)

@@ -67,17 +67,20 @@ class MultiPoly:
 
     def __init__(self, p: int, vars: tuple[str, ...], terms=None):
         """terms maps exponent tuples, one entry per variable, to integer
-        coefficients; they are packed, reduced mod p and cleaned of zeros."""
+        coefficients; they are packed, reduced mod p and cleaned of zeros.
+        ValueError unless every exponent and coefficient is an int."""
         self.p = p
         self.vars = tuple(vars)
         clean: dict[int, int] = {}
         for mono, c in (terms or {}).items():
-            mono = tuple(int(e) for e in mono)
+            mono = tuple(mono)
+            if not {*map(type, mono), type(c)} <= {int}:
+                raise ValueError(f"exponent vector {mono} or coefficient {c!r} is not of ints")
             if len(mono) != len(self.vars):
                 raise ValueError("exponent vector length mismatch")
             if min(mono, default=0) < 0 or sum(mono) >= _MASK:
                 raise PreconditionError(f"exponent vector {mono} is negative or of total degree at least 2^{_B} - 1")
-            c = int(c) % p
+            c %= p
             if c:
                 clean[_pack(mono)] = c
         self.terms, self._deg = clean, None

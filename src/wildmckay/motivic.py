@@ -11,11 +11,13 @@ with integer coefficients, kept in a unique canonical form:
   * the scale r is minimal.
 
 A value has one constructor, MotivicValue(num, den=None, scale=1), from
-{exponent: coefficient} dicts in L^(1/scale).  It refuses inexact input:
-a ValueError unless every exponent and coefficient is an int and the scale
-an int >= 1; l_power, from_rational, geometric_sum and evaluate take only
-an int or a Fraction.  Each of + - * / builds its result as one fraction
-over the lcm scale and reduces it once.
+{exponent: coefficient} dicts in L^(1/scale); it stores the scale once,
+beside the num and den records.  It refuses inexact input: a ValueError
+unless every exponent and coefficient is an int and the scale an int >= 1;
+l_power, geometric_sum, evaluate and the operators take only an int or a
+Fraction as a number, else TypeError.  A number is an operand as it is
+(1 - x, x / 2, sum(values)): each of + - * / builds its result as one
+fraction over the lcm scale and reduces it once, and == reduces nothing.
 
 Values are immutable; equality is equality of canonical forms.  The
 realizations substitute a number for L: a prime power q for point counts,
@@ -53,28 +55,28 @@ class PoleAtOne(ZeroDivisionError):
 
 
 class LefschetzPoly:
-    """Laurent polynomial sum_k c_k * L^(k/r), as {k: c} with scale r: the
-    record of a MotivicValue's numerator or denominator, terms as given."""
+    """The record of a MotivicValue's numerator or denominator: its terms
+    {k: c} for sum_k c_k * L^(k/r), r the value's scale, as given."""
 
-    __slots__ = ("terms", "scale")
+    __slots__ = ("terms",)
 
-    def __init__(self, terms: dict[int, int], scale: int = 1):
+    def __init__(self, terms: dict[int, int]):
         self.terms = terms
-        self.scale = scale
 
-    def evaluate(self, x0: Fraction) -> Fraction:
-        """Value at x = L^(1/scale) = x0 (x0 nonzero if negative exponents): with
-        x0 = n/d, n^lo / d^hi times the Horner sum of c_k n^(k-lo) d^(hi-k)."""
-        if not self.terms:
-            return Fraction(0)
-        n, d = x0.numerator, x0.denominator
-        lo, hi = min(self.terms), max(self.terms)
-        acc, d_pow, prev = 0, 1, hi
-        for k in sorted(self.terms, reverse=True):
-            d_pow *= d ** (prev - k)
-            acc = acc * n ** (prev - k) + self.terms[k] * d_pow
-            prev = k
-        return Fraction(acc * n ** max(lo, 0) * d ** max(-hi, 0), n ** max(-lo, 0) * d ** max(hi, 0))
+
+def _evaluate(terms: dict[int, int], x0: Fraction) -> Fraction:
+    """sum_k c_k x0^k for terms {k: c} (x0 nonzero if negative exponents): with
+    x0 = n/d, n^lo / d^hi times the Horner sum of c_k n^(k-lo) d^(hi-k)."""
+    if not terms:
+        return Fraction(0)
+    n, d = x0.numerator, x0.denominator
+    lo, hi = min(terms), max(terms)
+    acc, d_pow, prev = 0, 1, hi
+    for k in sorted(terms, reverse=True):
+        d_pow *= d ** (prev - k)
+        acc = acc * n ** (prev - k) + terms[k] * d_pow
+        prev = k
+    return Fraction(acc * n ** max(lo, 0) * d ** max(-hi, 0), n ** max(-lo, 0) * d ** max(hi, 0))
 
 
 def _exact(x: Rat) -> Fraction:
@@ -91,6 +93,10 @@ def _nonzero_terms(terms: dict) -> dict[int, int]:
         bad = next(x for x in (*terms, *terms.values()) if type(x) is not int)
         raise ValueError(f"exponent or coefficient {bad!r} is not an int")
     return {k: c for k, c in terms.items() if c}
+
+
+def _negated(terms: dict) -> dict:
+    return {k: -c for k, c in terms.items()}
 
 
 def _add_terms(a: dict, b: dict) -> dict:
@@ -120,23 +126,28 @@ def _mul_terms(a: dict, b: dict) -> dict:
     return out
 
 
-def _at_common_scale(a: "MotivicValue", b: "MotivicValue"):
+def _at_common_scale(a: "MotivicValue", b):
     """The terms an, ad, bn, bd of a and b in L^(1/r), r the lcm of their
-    scales, and r."""
+    scales, and r.  A number b enters as {0: numerator}/{0: denominator} at
+    scale 1; TypeError unless b is a value, an int or a Fraction."""
+    if not isinstance(b, MotivicValue):
+        if not isinstance(b, (int, Fraction)):
+            raise TypeError(f"{b!r} is not an int or a Fraction")
+        return a.num.terms, a.den.terms, {0: b.numerator} if b else {}, {0: b.denominator}, a.scale
     r = math.lcm(a.scale, b.scale)
 
-    def lift(poly):
-        m = r // poly.scale
-        return poly.terms if m == 1 else {k * m: c for k, c in poly.terms.items()}
+    def lift(v):
+        m = r // v.scale
+        return [t if m == 1 else {k * m: c for k, c in t.items()} for t in (v.num.terms, v.den.terms)]
 
-    return lift(a.num), lift(a.den), lift(b.num), lift(b.den), r
+    return *lift(a), *lift(b), r
 
 
 class MotivicValue:
     """A canonical rational function in L^(1/r) with integer coefficients,
     built from the term dicts num and den (None for 1) in L^(1/scale)."""
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "den", "scale")
     var = "L"
 
     def __init__(self, num: dict[int, int], den: dict[int, int] | None = None, scale: int = 1):
@@ -145,24 +156,9 @@ class MotivicValue:
         num, den = _nonzero_terms(num), _nonzero_terms({0: 1} if den is None else den)
         if not den:
             raise ZeroDivisionError("zero denominator")
-        num, den, scale = _canonicalize(num, den, scale)
-        self.num = LefschetzPoly(num, scale)
-        self.den = LefschetzPoly(den, scale)
-
-    # -- constructors --
-
-    @classmethod
-    def zero(cls):
-        return cls({})
-
-    @classmethod
-    def one(cls):
-        return cls({0: 1})
-
-    @classmethod
-    def from_rational(cls, a: Rat):
-        a = _exact(a)
-        return cls({0: a.numerator}, {0: a.denominator})
+        num, den, self.scale = _canonicalize(num, den, scale)
+        self.num = LefschetzPoly(num)
+        self.den = LefschetzPoly(den)
 
     @classmethod
     def l_power(cls, e: Rat):
@@ -170,67 +166,59 @@ class MotivicValue:
         e = _exact(e)
         return cls({e.numerator: 1}, None, e.denominator)
 
-    # -- ring structure: each operation reduces its result once --
-
-    @property
-    def scale(self) -> int:
-        return self.num.scale
-
-    def _coerce(self, other) -> "MotivicValue":
-        return other if isinstance(other, MotivicValue) else MotivicValue.from_rational(other)
+    # -- ring structure: each operation, with a value or a number, reduces once --
 
     def __add__(self, other):
-        an, ad, bn, bd, r = _at_common_scale(self, self._coerce(other))
+        an, ad, bn, bd, r = _at_common_scale(self, other)
         return type(self)(_add_terms(_mul_terms(an, bd), _mul_terms(bn, ad)), _mul_terms(ad, bd), r)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return type(self)({k: -c for k, c in self.num.terms.items()}, self.den.terms, self.scale)
+        return type(self)(_negated(self.num.terms), self.den.terms, self.scale)
 
     def __sub__(self, other):
-        an, ad, bn, bd, r = _at_common_scale(self, self._coerce(other))
-        minus_ad = {k: -c for k, c in ad.items()}
-        return type(self)(_add_terms(_mul_terms(an, bd), _mul_terms(bn, minus_ad)), _mul_terms(ad, bd), r)
+        an, ad, bn, bd, r = _at_common_scale(self, other)
+        return type(self)(_add_terms(_mul_terms(an, bd), _mul_terms(bn, _negated(ad))), _mul_terms(ad, bd), r)
 
     def __rsub__(self, other):
-        return self._coerce(other) - self
+        an, ad, bn, bd, r = _at_common_scale(self, other)
+        return type(self)(_add_terms(_mul_terms(bn, ad), _mul_terms(an, _negated(bd))), _mul_terms(ad, bd), r)
 
     def __mul__(self, other):
-        an, ad, bn, bd, r = _at_common_scale(self, self._coerce(other))
+        an, ad, bn, bd, r = _at_common_scale(self, other)
         return type(self)(_mul_terms(an, bn), _mul_terms(ad, bd), r)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         # a zero divisor leaves a zero denominator, which the constructor refuses
-        an, ad, bn, bd, r = _at_common_scale(self, self._coerce(other))
+        an, ad, bn, bd, r = _at_common_scale(self, other)
         return type(self)(_mul_terms(an, bd), _mul_terms(ad, bn), r)
 
     def __rtruediv__(self, other):
-        return self._coerce(other) / self
+        an, ad, bn, bd, r = _at_common_scale(self, other)
+        return type(self)(_mul_terms(bn, ad), _mul_terms(bd, an), r)
 
     def __pow__(self, n: int):
         if not isinstance(n, int):
             raise TypeError("exponent must be an integer; use l_power for L^e")
         if n < 0:
-            return MotivicValue.one() / self ** (-n)
-        return binary_power(self, n, MotivicValue.one())
+            return 1 / self ** -n
+        return binary_power(self, n, None) if n else type(self)({0: 1})
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = MotivicValue.from_rational(other)
-        if not isinstance(other, MotivicValue):
+        if not isinstance(other, (MotivicValue, int, Fraction)):
             return NotImplemented
-        # canonical forms, minimal scale included, are unique
-        return (
-            self.scale == other.scale
-            and self.num.terms == other.num.terms
-            and self.den.terms == other.den.terms
-        )
+        # canonical forms are unique, and stay so lifted to a common scale
+        an, ad, bn, bd, _ = _at_common_scale(self, other)
+        return an == bn and ad == bd
 
     def __hash__(self):
-        return hash((self.scale, frozenset(self.num.terms.items()), frozenset(self.den.terms.items())))
+        num, den = self.num.terms, self.den.terms
+        if num.keys() <= {0} and den.keys() == {0}:  # a number, which has scale 1
+            return hash(Fraction(num.get(0, 0), den[0]))
+        return hash((self.scale, frozenset(num.items()), frozenset(den.items())))
 
     def __bool__(self):
         return not self.is_zero()
@@ -249,10 +237,10 @@ class MotivicValue:
     def evaluate(self, x0: Rat) -> Fraction:
         """Exact value after substituting L^(1/scale) = x0."""
         x0 = _exact(x0)
-        d = self.den.evaluate(x0)
+        d = _evaluate(self.den.terms, x0)
         if d == 0:
             raise ZeroDivisionError(f"pole at {x0}")
-        return self.num.evaluate(x0) / d
+        return _evaluate(self.num.terms, x0) / d
 
     def point_count(self, q: int) -> Fraction:
         """Substitute the prime power q for L; exact rational result."""
@@ -302,13 +290,13 @@ class MotivicValue:
 
     # -- display --
 
-    def _poly_str(self, poly: LefschetzPoly) -> str:
-        if not poly.terms:
+    def _poly_str(self, terms: dict[int, int]) -> str:
+        if not terms:
             return "0"
         parts = []
-        for k in sorted(poly.terms, reverse=True):
-            c = poly.terms[k]
-            e = Fraction(k, poly.scale)
+        for k in sorted(terms, reverse=True):
+            c = terms[k]
+            e = Fraction(k, self.scale)
             if e == 0:
                 term = str(abs(c))
             else:
@@ -320,10 +308,10 @@ class MotivicValue:
         return s[2:] if s.startswith("+ ") else "-" + s[2:]
 
     def __str__(self):
-        n = self._poly_str(self.num)
+        n = self._poly_str(self.num.terms)
         if self.den.terms == {0: 1}:
             return n
-        return f"({n})/({self._poly_str(self.den)})"
+        return f"({n})/({self._poly_str(self.den.terms)})"
 
     def __repr__(self):
         return f"MotivicValue({self})"
@@ -448,8 +436,9 @@ def _canonicalize(num: dict[int, int], den: dict[int, int], scale: int):
 L = MotivicValue({1: 1})
 
 
-def geometric_sum(c: MotivicValue, e: Rat) -> MotivicValue:
-    """Sum of the convergent geometric series sum_{n>=0} c * L^(e*n).
+def geometric_sum(c: MotivicValue | Rat, e: Rat) -> MotivicValue:
+    """Sum of the convergent geometric series sum_{n>=0} c * L^(e*n), for a
+    value or a number c.
 
     Requires e < 0 (term dimensions tend to -infinity); the closed form is
     c / (1 - L^e), returned canonically.

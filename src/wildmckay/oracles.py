@@ -22,9 +22,7 @@ def _fiber_class_via_strata(rep) -> MotivicValue:
 
         1 + geometric_sum((L - 1) * sum_s L^(s-1-sht(s)), p-1-D).
     """
-    leads = MotivicValue.zero()
-    for s in range(1, rep.p):
-        leads = leads + _lp(s - 1 - stringy.shift_number(rep, s))
+    leads = sum(_lp(s - 1 - stringy.shift_number(rep, s)) for s in range(1, rep.p))
     return 1 + geometric_sum((L - 1) * leads, rep.p - 1 - stringy.shift_slope(rep))
 
 
@@ -65,9 +63,9 @@ def _stack_pair_via_sectors(p: int, a: Fraction) -> MotivicValue:
 
     def tail_sum(e: Fraction) -> MotivicValue:
         # sum_{n>=1} L^(e n) = L^e / (1 - L^e)
-        return geometric_sum(MotivicValue.one(), e) - MotivicValue.one()
+        return geometric_sum(1, e) - 1
 
-    untwisted = (L * L - L) / (MotivicValue.one() - _lp(a - 1))
+    untwisted = (L * L - L) / (1 - _lp(a - 1))
     twisted = (L - 1) * L * (tail_sum(a + p - 2) - tail_sum(a - 1))
     return untwisted + twisted
 
@@ -79,7 +77,7 @@ def _stringy_from_resolution(strata) -> MotivicValue:
         sum [E_I] * prod_i (L-1)/(L^(1+a_i) - 1),
 
     each a_i > -1 (log terminal)."""
-    total = MotivicValue.zero()
+    total = 0
     for stratum_class, coeffs in strata:
         term = stratum_class
         for a in coeffs:

@@ -31,7 +31,7 @@ import itertools
 from collections import Counter
 from fractions import Fraction
 
-from .gf import MAX_COUNT_BITS, InvalidJump, PreconditionError, prime_power_decomposition, require_prime
+from .gf import MAX_COUNT_BITS, InvalidJump, PreconditionError, _require_int, prime_power_decomposition, require_prime
 from .motivic import L, MotivicValue, Rat, _add_terms, _exact, _mul_terms
 
 
@@ -95,7 +95,9 @@ class RepType:
 
     def __init__(self, p: int, dims):
         require_prime(p)
-        dims = tuple(int(d) for d in dims)
+        dims = tuple(dims)
+        if bad := [d for d in dims if type(d) is not int]:
+            raise ValueError(f"summand dimension {bad[0]!r} is not an int")
         if not dims:
             raise PreconditionError("at least one summand is required")
         if any(d < 1 or d > p for d in dims):
@@ -139,6 +141,7 @@ def shift_slope(rep: RepType) -> int:
 
 def shift_number(rep: RepType, j: int) -> int:
     """sum_{lam} sum_{i=1}^{d_lam - 1} floor(i*j/p) for admissible jumps."""
+    _require_int(j, "jump")
     if j == 0:
         return 0
     if j < 0 or j % rep.p == 0:
@@ -274,7 +277,7 @@ def smooth_pair_invariant(d: int, a: Rat) -> MotivicValue:
         raise NotKLT(f"coefficient a = {a} >= 1")
     _require_degree(d + 1 - a)
     off = MotivicValue.l_power(d) - MotivicValue.l_power(d - 1)
-    denom = MotivicValue.l_power(1 - a) - MotivicValue.one()
+    denom = MotivicValue.l_power(1 - a) - 1
     return off + MotivicValue.l_power(d - 1) * (L - 1) / denom
 
 
@@ -287,7 +290,7 @@ def stack_pair_invariant(p: int, a: Rat) -> MotivicValue:
     if a >= 2 - p:
         raise NotKLT(f"coefficient a = {a} >= 2 - p = {2 - p}")
     _require_degree(4 - a - p)
-    return (L * L - L) / (MotivicValue.one() - MotivicValue.l_power(a + p - 2))
+    return (L * L - L) / (1 - MotivicValue.l_power(a + p - 2))
 
 
 def projectivized_invariant(rep: RepType) -> MotivicValue:

@@ -8,8 +8,9 @@ import pytest
 import sympy
 
 from gf_reference import Reference, is_irreducible
-from wildmckay import gf
+from wildmckay import covers, gf, stringy
 from wildmckay.gf import GF, MR_BOUND, PrimalityUnproven, is_prime, prime_power_decomposition
+from wildmckay.motivic import L
 
 FIELDS = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (5, 2), (7, 1)]
 REFERENCE_FIELDS = FIELDS + [(3, 3), (2, 4)]
@@ -22,6 +23,33 @@ def test_primality_helpers():
     assert prime_power_decomposition(7) == (7, 1)
     assert prime_power_decomposition(12) is None
     assert prime_power_decomposition(1) is None
+
+
+def test_p_q_e_jumps_and_const_class_must_be_ints():
+    # GF caches by type, so a field built from ints does not answer a float
+    GF(2), GF(2, 2)
+    for call in (
+        lambda: L.point_count(9.0),
+        lambda: prime_power_decomposition(9.0),
+        lambda: stringy.origin_fiber_point_count(stringy.RepType(3, [3, 3]), 9.0),
+        lambda: covers.count_rep_covers(4.0, 3),
+        lambda: GF(2, 2.0),
+        lambda: covers.enumerate_covers(2, 3, guard=10.5),
+        lambda: is_prime(7.0),
+        lambda: is_prime(True),
+        lambda: GF(2.0, 1),
+        lambda: covers.count_rep_covers(2, 3.0),
+        lambda: covers.count_extensions(2, 3.0),
+        lambda: stringy.shift_number(stringy.RepType(3, [3]), 2.0),
+        lambda: covers.uniformizer_params(3, 2.0),
+        lambda: covers.enumerate_covers(2, 3.0),
+        lambda: covers.ASCoverClass(GF(2), {1: 1}, 1.5),
+    ):
+        with pytest.raises(TypeError, match="is not an int"):
+            call()
+    # the error names the argument at fault, p, not the coefficient a
+    with pytest.raises(TypeError, match="p 3.0 is not an int"):
+        stringy.stack_pair_invariant(3.0, -2)
 
 
 def test_is_prime_matches_sympy():

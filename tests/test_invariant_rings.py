@@ -79,6 +79,10 @@ class TestMultiPoly:
         assert MultiPoly(5, ("x", "y"), {(2, 1): 6, (0, 3): 5, (0, 0): -1}).terms == {2 + (1 << _B): 1, 0: 4}
         with pytest.raises(ValueError, match="length mismatch"):
             MultiPoly(3, ("x", "y"), {(1,): 1})
+        # no int() truncation: (1.5,): 2.7 is not 2*x and (True,): 1 is not x
+        for terms in ({(1.5,): 2.7}, {(True,): 1}, {(1,): 2.0}):
+            with pytest.raises(ValueError, match="not of ints"):
+                MultiPoly(3, ("x",), terms)
         rng = random.Random(7)
         names = ("x", "y")
         images = {"x": MultiPoly.gens(3, names)[1], "y": random_poly(rng, 3, names)}

@@ -25,7 +25,7 @@ def bases():
     x, y = MultiPoly.gens(P, ("x", "y"))
     return {
         "MultiPoly": (x + 2 * y, MultiPoly.constant(P, ("x", "y"), 1)),
-        "MotivicValue": (L + 2, MotivicValue.one()),
+        "MotivicValue": (L + 2, MotivicValue({0: 1})),
     }
 
 

@@ -36,7 +36,7 @@ from wildmckay.stringy import (
     stringy_invariant,
 )
 
-ONE = MotivicValue.one()
+ONE = MotivicValue({0: 1})
 
 
 def lp(e):
@@ -51,6 +51,10 @@ class TestRepType:
             RepType(3, [4])  # dim > p
         with pytest.raises(ValueError):
             RepType(3, [1, 1])  # trivial
+        # no int() truncation: 2.9 is not 2, '3' is not 3 and True is not 1
+        for dims in ([2.9, 3], ["3"], [True, 3]):
+            with pytest.raises(ValueError, match="is not an int"):
+                RepType(3, dims)
 
     def test_value_semantics(self):
         a, b = RepType(5, [5, 2]), RepType(5, (5, 2))
