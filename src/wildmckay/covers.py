@@ -25,13 +25,14 @@ witness and its share of the class key depend only on the coefficients at
 t^-i and below.  enumerate_covers walks the inputs as an odometer and
 settles each such coefficient once per prefix, checking the witness
 identity of _witnesses_hold, v - frob(r) = 0, at every level that makes a
-witness.
+witness.  It counts the inputs of a prefix in a row over their coefficient
+at t^-1, and sorts the classes and builds their forms only when read.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, defaultdict
 
 from . import laurent
 from .gf import MAX_COUNT_BITS, GF, GaloisField, InternalMismatch, InvalidJump, PreconditionError, _require_int
@@ -322,14 +323,14 @@ def count_extensions(q: int, j: int) -> int:
 
 class CensusReport:
     """Outcome of the brute-force reduction census.  `to_json` lists the
-    fields in the order of __slots__, without fiber_sizes and classes."""
+    fields in the order of __slots__, without field and fibers; fiber_sizes
+    and classes sort the fibers, and build the forms, only when read."""
 
     __slots__ = (
         "p", "q", "max_exp", "total_inputs", "class_count", "expected_class_count",
         "jump_histogram",  # rows [j, count, expected, ok]
-        "fiber_sizes",  # class key -> fiber size, sorted by key
         "expected_fiber_size", "fibers_uniform", "witnesses_ok",
-        "classes",  # ASCoverClass, in the order of fiber_sizes
+        "field", "fibers",  # fibers: class key, as ASCoverClass.key() -> fiber size, unsorted
     )
 
     def __init__(self, **fields):
@@ -347,8 +348,18 @@ class CensusReport:
             and all(row[3] for row in self.jump_histogram)
         )
 
+    @property
+    def fiber_sizes(self) -> dict[tuple, int]:
+        """Class key -> fiber size, sorted by key."""
+        return dict(sorted(self.fibers.items()))
+
+    @property
+    def classes(self) -> list[ASCoverClass]:
+        """One ASCoverClass per class, in the order of fiber_sizes."""
+        return [ASCoverClass._of(self.field, dict(coeffs), const) for coeffs, const in sorted(self.fibers)]
+
     def to_json(self, list_forms: bool = False) -> dict:
-        out = {name: getattr(self, name) for name in self.__slots__ if name not in ("fiber_sizes", "classes")}
+        out = {name: getattr(self, name) for name in self.__slots__ if name not in ("field", "fibers")}
         out["all_ok"] = self.all_ok
         if list_forms:
             out["normal_forms"] = [c.to_json() for c in self.classes]
@@ -364,9 +375,9 @@ def enumerate_covers(q: int, max_exp: int, guard: int = 10 ** 7) -> CensusReport
     normal forms against the stratum formula, and checks that every
     reduction fiber has exactly q^floor(max_exp/p) elements.
 
-    The inputs are walked as an odometer of digits, the digit at t^-1
+    The inputs are walked as an odometer of digits, the digit at t^-2
     turning fastest, and each step settles again only the levels from the
-    highest changed digit down to t^-1.  This is the reduction of
+    highest changed digit down to t^-2.  This is the reduction of
     _reduce_codes, level by level: level i reads the carry from level p*i
     and sets v = c + carry.  When p divides i and v != 0, the witness
     r = root(v) carries to level i/p, and the witness identity of
@@ -375,7 +386,11 @@ def enumerate_covers(q: int, max_exp: int, guard: int = 10 ** 7) -> CensusReport
     class key.  Level i depends only on the digits at t^-max_exp ... t^-i,
     so one settled level serves every input with that prefix, and each
     input is reduced and checked on its own path: its witness check is the
-    conjunction of the checks of the witness levels on that path.
+    conjunction of the checks of the witness levels on that path.  Level 1
+    makes no witness: each prefix sweeps its digit c at t^-1 over the q
+    codes and counts every input under v = c + carry in a row of q counts
+    kept per key of levels 2 and up, and a nonzero count at v != 0 becomes
+    the class key with (1, v) in front.
     """
     p, e = require_prime_power(q)
     _require_int(max_exp, "max_exp")
@@ -388,15 +403,17 @@ def enumerate_covers(q: int, max_exp: int, guard: int = 10 ** 7) -> CensusReport
     F = GF(p, e)
     add, _, frob, root, trace, _ = F.codes
     # per level i in 1..max_exp: its digit, the witness root carried in from
-    # level p*i (0 for none), and the key pairs (index, code) of levels i and up
-    digit = [0] * (max_exp + 2)
-    carry = [0] * (max_exp + 2)
-    pairs = [()] * (max_exp + 2)
-    counts = {}
+    # level p*i (0 for none), and the key pairs (index, code) of levels i and
+    # up; the levels above max_exp, at least level 2, stay empty
+    digit = [0] * (max_exp + 3)
+    carry = [0] * (max_exp + 3)
+    pairs = [()] * (max_exp + 3)
+    codes = range(q if max_exp else 1)  # for max_exp = 0 the zero polynomial alone
+    rows = defaultdict(lambda: [0] * q)  # key pairs of levels 2 and up -> count per code v at level 1
     witnesses_ok = True
     top = max_exp
     while True:
-        for i in range(top, 0, -1):
+        for i in range(top, 1, -1):
             c, r = digit[i], carry[i]
             v = add(c, r) if r else c
             if i % p == 0:
@@ -409,8 +426,11 @@ def enumerate_covers(q: int, max_exp: int, guard: int = 10 ** 7) -> CensusReport
                 pairs[i] = pairs[i + 1]
             else:
                 pairs[i] = ((i, v),) + pairs[i + 1] if v else pairs[i + 1]
-        counts[pairs[1]] = counts.get(pairs[1], 0) + 1
-        top = 1
+        row = rows[pairs[2]]
+        r = carry[1]
+        for c in codes:
+            row[add(c, r) if r else c] += 1
+        top = 2
         while top <= max_exp and digit[top] == q - 1:
             digit[top] = 0
             top += 1
@@ -418,24 +438,23 @@ def enumerate_covers(q: int, max_exp: int, guard: int = 10 ** 7) -> CensusReport
             break
         digit[top] += 1
     const = trace(0)  # no input has a constant term
-    fibers = {(coeffs, const): n for coeffs, n in sorted(counts.items())}  # keys as ASCoverClass.key()
-    classes = [ASCoverClass._of(F, dict(coeffs), const) for coeffs, const in fibers]
-    hist = Counter(cls.jump for cls in classes)
+    fibers = {(((1, v),) + rest if v else rest, const): n
+              for rest, row in rows.items() for v, n in enumerate(row) if n}
+    hist = Counter(coeffs[-1][0] if coeffs else 0 for coeffs, _ in fibers)  # pairs ascend: the last is the jump
     expected = {j: count_rep_covers(q, j) for j in range(max_exp + 1) if j == 0 or j % p}
     jump_rows = [[j, hist[j], n, hist[j] == n] for j, n in expected.items()]
     expected_fiber = q ** (max_exp // p)
-    fibers_uniform = set(fibers.values()) == {expected_fiber}
     return CensusReport(
         p=p,
         q=q,
         max_exp=max_exp,
         total_inputs=q ** max_exp,
-        class_count=len(classes),
+        class_count=len(fibers),
         expected_class_count=q ** (max_exp - max_exp // p),
         jump_histogram=jump_rows,
-        fiber_sizes=fibers,
         expected_fiber_size=expected_fiber,
-        fibers_uniform=fibers_uniform,
+        fibers_uniform=set(fibers.values()) == {expected_fiber},
         witnesses_ok=witnesses_ok,
-        classes=classes,
+        field=F,
+        fibers=fibers,
     )

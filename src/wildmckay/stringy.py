@@ -272,6 +272,9 @@ def origin_fiber_point_count(rep: RepType, q: int) -> Fraction:
 def smooth_pair_invariant(d: int, a: Rat) -> MotivicValue:
     """Stringy invariant of affine d-space against a hyperplane with
     coefficient a < 1:  (L^d - L^(d-1)) + L^(d-1)(L-1)/(L^(1-a) - 1)."""
+    _require_int(d, "d")
+    if d < 1:
+        raise PreconditionError(f"dimension d = {d} must be at least 1")
     a = _exact(a)
     if a >= 1:
         raise NotKLT(f"coefficient a = {a} >= 1")

@@ -399,6 +399,22 @@ class TestCensus:
         assert held is report.witnesses_ok is True
         assert sum(fibers.values()) == report.total_inputs == q ** max_exp
 
+    @pytest.mark.parametrize("q,max_exp", [(2, 0), (2, 1), (3, 1), (4, 2), (7, 3), (8, 3), (9, 2), (2, 9)])
+    def test_sorted_views_match_the_reduction_of_every_input(self, q, max_exp):
+        # the census counts level 1 in rows and leaves its fibers unsorted;
+        # the views built from them when read must be those of the public
+        # reduction of each input, in key order
+        report = enumerate_covers(q, max_exp)
+        fibers, held = census_by_reduction(GF(*require_prime_power(q)), max_exp)
+        assert list(report.fiber_sizes.items()) == sorted(fibers.items())
+        classes = report.classes
+        assert [c.key() for c in classes] == list(report.fiber_sizes)
+        jumps = Counter(c.jump for c in classes)
+        assert [row[:2] for row in report.jump_histogram] == [[j, jumps[j]] for j, *_ in report.jump_histogram]
+        assert sum(row[1] for row in report.jump_histogram) == report.class_count == len(classes)
+        assert report.fibers_uniform is (set(report.fiber_sizes.values()) == {report.expected_fiber_size})
+        assert report.witnesses_ok is held is True
+
 
 class TestIntCodedCore:
     """The census and the (F, f) entry points share one int-coded core."""
@@ -482,8 +498,10 @@ class TestIntCodedCore:
 
         monkeypatch.setattr(ASCoverClass, "_of", counting_of)
         report = enumerate_covers(3, 5)
-        assert report.all_ok
-        assert len(built) == report.class_count == 81
+        assert report.all_ok and report.to_json()["all_ok"]
+        assert built == []  # the census builds its forms only when they are read
+        classes = report.classes
+        assert len(built) == len(classes) == report.class_count == 81
 
     @staticmethod
     def assert_public_twin(cls):

@@ -13,6 +13,7 @@ from wildmckay.oracles import (
     _stack_pair_via_sectors,
     _stringy_from_resolution,
 )
+from wildmckay.gf import PreconditionError
 from wildmckay.motivic import L, MotivicValue, DivergentSeries
 from wildmckay.stringy import (
     MAX_DEGREE,
@@ -261,6 +262,15 @@ class TestPairInvariants:
     def test_stack_examples(self):
         assert stack_pair_invariant(2, -1) == L * L
         assert stack_pair_invariant(3, -2) == L * L
+
+    def test_smooth_pair_refuses_a_dimension_below_one_or_not_an_int(self):
+        # (L^(5/2))/(L + 1) and (L^-1)/(L + 1) are invariants of no affine space
+        for d in (0, -2):
+            with pytest.raises(PreconditionError, match=f"dimension d = {d} must be at least 1"):
+                smooth_pair_invariant(d, -1)
+        for d in (Fraction(3, 2), 2.0, True):
+            with pytest.raises(TypeError, match="is not an int"):
+                smooth_pair_invariant(d, -1)
 
     def test_not_klt(self):
         with pytest.raises(NotKLT):
