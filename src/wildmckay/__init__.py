@@ -3,25 +3,26 @@
 The package computes, entirely in exact arithmetic: canonical rational
 functions in the Lefschetz class and their realizations (motivic),
 Artin-Schreier covers of the formal disk with their normal forms,
-ramification jumps and census oracles (covers, gf, laurent), the stringy
-motivic invariants of the associated quotient singularities (stringy), and
+ramification jumps and census (covers, over gf), the stringy motivic
+invariants of the associated quotient singularities (stringy), and
 brute-force verification of the known invariant-ring presentations
-(invariant_rings).  The cli module exposes everything as the `wildmckay`
-command.
+(invariant_rings).  The battery (acceptance) checks them against second
+routes (oracles, over the Laurent kernel laurent).  The cli module exposes
+everything as the `wildmckay` command.
 """
 
 __version__ = "0.1.0"
 
 # each export and its module, which is imported when the name is first read
 _HOMES = {
-    **dict.fromkeys(("ASCoverClass", "count_extensions", "count_rep_covers", "enumerate_covers", "reduce",
-                     "verify_jump"), "covers"),
+    **dict.fromkeys(("ASCoverClass", "count_extensions", "count_rep_covers", "enumerate_covers", "reduce"), "covers"),
     "GF": "gf",
     "artin_schreier": "laurent",
     **dict.fromkeys(("L", "MotivicValue", "geometric_sum"), "motivic"),
     **dict.fromkeys(("RepType", "origin_fiber_class", "origin_fiber_point_count", "poincare_duality_holds",
                      "projectivized_invariant", "shift_number", "shift_slope", "smooth_pair_invariant",
                      "stack_pair_invariant", "stringy_euler", "stringy_invariant"), "stringy"),
+    "verify_jump": "oracles",
 }
 
 __all__ = sorted(_HOMES)

@@ -2,10 +2,11 @@
 
 Each criterion is a function returning a CriterionResult; all expected
 values are either exact closed forms re-derived here independently or
-frozen constants.  The second routes of stringy's closed forms live in
-oracles.py, which only the battery imports, so production calls compute
-each quantity once.  Randomized portions draw from random.Random(seed),
-and the verdicts are properties of the code, not of the seed.
+frozen constants.  The second routes of stringy's closed forms and the
+jump oracle live in oracles.py, which only the battery imports, so
+production calls compute each quantity once.  Randomized portions draw
+from random.Random(seed), and the verdicts are properties of the code,
+not of the seed.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import random
 import time
 from fractions import Fraction
 
-from . import covers, invariant_rings, stringy
+from . import covers, invariant_rings, oracles, stringy
 from .gf import GF
 from .laurent import add, artin_schreier
 from .motivic import L, MotivicValue, geometric_sum
@@ -171,7 +172,7 @@ def crit_jump_oracle(rng) -> _Tally:
                 continue
             F = cls.field
             f = add(F, cls.lift(), artin_schreier(F, {-cls.jump: 1}))
-            t.check(covers.verify_jump(F, f), f"verify_jump q={q} {cls!r}")
+            t.check(oracles.verify_jump(F, f), f"verify_jump q={q} {cls!r}")
     return t
 
 

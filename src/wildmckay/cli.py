@@ -394,7 +394,7 @@ def main(argv=None) -> int:
 
 def __getattr__(name):
     # `wildmckay.cli.acceptance` stays readable for perfbench/run.py, which
-    # reads CRITERIA through it when tracing; ROADMAP item 2 points that
+    # reads CRITERIA through it when tracing; ROADMAP item 1 points that
     # reader at wildmckay.acceptance, and then this hook can go.
     if name == "acceptance":
         from . import acceptance

@@ -9,14 +9,12 @@ plus an unramified constant class in F_p realized here through the
 absolute trace.  The positive tail of f lies in the image, so only its
 polar part is read.
 
-A Laurent polynomial f is its dict {exponent: code} (see laurent), passed
-beside its field F: the public entry points take (F, f) and validate f.
-The module provides the reduction with accumulated witnesses, kept as
-(exponent, code) monomials from the int-coded core onward, the
-ramification jump, stratum counting formulas, a brute-force census engine
-that cross-checks them, and an independent jump oracle: for a Laurent
-polynomial f it computes in F_q((t))[g]/(g^p - g + f) exactly and reads
-every valuation off a norm, v(x) = ord_t N(x).
+A Laurent polynomial f is its sparse dict {exponent: nonzero code}, codes
+as in gf, passed beside its field F: the public entry points take (F, f)
+and validate f with nonzero_codes.  The module provides the reduction with
+accumulated witnesses, kept as (exponent, code) monomials from the
+int-coded core onward, the ramification jump, stratum counting formulas,
+and a brute-force census engine that cross-checks them.
 
 The census reduces every input on its own but shares work between inputs:
 the reduction runs from the most negative exponent up, and a witness made
@@ -24,20 +22,21 @@ at t^-i only carries into t^-(i/p), so the coefficient at t^-i, its
 witness and its share of the class key depend only on the coefficients at
 t^-i and below.  enumerate_covers walks the inputs as an odometer and
 settles each such coefficient once per prefix, checking the witness
-identity of _witnesses_hold, v - frob(r) = 0, at every level that makes a
-witness.  It counts the inputs of a prefix in a row over their coefficient
-at t^-1, and sorts the classes and builds their forms only when read.
+identity of witnesses_account_for, v - frob(r) = 0, at every level that
+makes a witness.  It counts the inputs of a prefix in a row over their
+coefficient at t^-1, and sorts the classes and builds their forms only
+when read.
 """
 
 from __future__ import annotations
 
-import math
 from collections import Counter, defaultdict
 
-from . import laurent
 from .gf import MAX_COUNT_BITS, GF, GaloisField, InternalMismatch, InvalidJump, PreconditionError, _require_int
 from .gf import require_prime_power
-from .laurent import nonzero_codes
+
+# a census keeps every class in its report, so it is refused above this many
+MAX_CENSUS_CLASSES = 10 ** 6
 
 
 class EnumerationTooLarge(PreconditionError):
@@ -46,6 +45,33 @@ class EnumerationTooLarge(PreconditionError):
 
 class CountTooLarge(PreconditionError):
     """A stratum count's size bound exceeds MAX_COUNT_BITS."""
+
+
+def nonzero_codes(field: GaloisField, coeffs, polar: bool = False) -> dict[int, int]:
+    """{exponent: code} for the nonzero codes of coeffs, only the terms up to
+    t^0 when polar is set; ValueError unless every term, dropped or not, has
+    an int exponent and a code of field: an int, not a bool, in
+    range(field.order)."""
+    order, clean = field.order, {}
+    for key, c in (coeffs or {}).items():
+        if type(c) is not int or not 0 <= c < order:
+            raise ValueError(f"coefficient {c!r} is not a code of {field}, an int in range({order})")
+        if type(key) is not int:
+            raise ValueError(f"exponent {key!r} is not an int")
+        if c and (not polar or key <= 0):
+            clean[key] = c
+    return clean
+
+
+def to_str(field: GaloisField, x: dict[int, int]) -> str:
+    """x as 'c*t^e + ...' in increasing exponent, '0' for the zero polynomial."""
+    parts = []
+    for e in sorted(x):
+        cs = field.format(x[e])
+        if "+" in cs or "-" in cs:
+            cs = f"({cs})"
+        parts.append(cs if e == 0 else f"{cs}*t" if e == 1 else f"{cs}*t^{e}")
+    return " + ".join(parts) if parts else "0"
 
 
 class ASCoverClass:
@@ -109,7 +135,7 @@ class ASCoverClass:
         return hash((self.field, self.key()))
 
     def __repr__(self):
-        return f"ASCoverClass(rep={laurent.to_str(self.field, self._polar())}, const_class={self.const_class})"
+        return f"ASCoverClass(rep={to_str(self.field, self._polar())}, const_class={self.const_class})"
 
     def to_json(self) -> dict:
         prime = self.field.e == 1
@@ -118,11 +144,6 @@ class ASCoverClass:
 
 
 # -- the int-coded reduction core ---------------------------------------------
-#
-# A Laurent polynomial is a dict {exponent: code} of nonzero coefficients,
-# codes as in gf, and the field's maps GaloisField.codes do the
-# arithmetic.  Only exponents <= 0 matter: the positive tail lies in the
-# Artin-Schreier image.
 
 
 def _reduce_codes(F, f):
@@ -150,18 +171,6 @@ def _reduce_codes(F, f):
             if c:
                 rep[e] = c
     return rep, const, witnesses
-
-
-def _witnesses_hold(F, f, rep, const, witnesses):
-    """Check that f - sum w(c t^e) over the witnesses (e, c), all e <= 0,
-    has polar part rep and a constant term of trace const.  Frobenius, not
-    the p-th root, undoes each witness, so a wrong root map fails here."""
-    p, (add, neg, frob, _, trace, _) = F.p, F.codes
-    g = dict(f)
-    for e, c in witnesses:
-        g[p * e] = add(g.get(p * e, 0), neg(frob(c)))
-        g[e] = add(g.get(e, 0), c)
-    return trace(g.pop(0, 0)) == const and {e: c for e, c in g.items() if c} == rep
 
 
 def reduce_with_witnesses(F: GaloisField, f) -> tuple[ASCoverClass, list[tuple[int, int]]]:
@@ -193,96 +202,15 @@ def reduce(F: GaloisField, f) -> ASCoverClass:
 def witnesses_account_for(F: GaloisField, f, cls: ASCoverClass, witnesses) -> bool:
     """Check that f - sum w(c t^e) over the witness pairs (e, c) has negative
     part the class's representative polynomial and constant-term trace
-    cls.const_class.  (The positive tail is absorbed implicitly and is not
-    certified here.)"""
-    return _witnesses_hold(F, nonzero_codes(F, f, polar=True), cls._polar(), cls.const_class, witnesses)
-
-
-def uniformizer_params(p: int, j: int) -> tuple[int, int, int, int]:
-    """Solve j = p*q' - r' (1 <= r' < p) and l'*r' = p*c' + 1 (1 <= l' < p).
-
-    Then t^(l'q'-c') g^(l') has valuation p(l'q'-c') - l'j = 1 in the cover
-    ring, i.e. it is a uniformizer.
-    """
-    _require_int(j, "jump")
-    if j <= 0 or j % p == 0:
-        raise InvalidJump(f"jump {j} must be positive and coprime to {p}")
-    r_ = (-j) % p
-    q_ = (j + r_) // p
-    l_ = pow(r_, -1, p)
-    c_ = (l_ * r_ - 1) // p
-    if p * (l_ * q_ - c_) - l_ * j != 1:
-        raise InternalMismatch(f"uniformizer exponents for p = {p}, j = {j} miss valuation 1")
-    return q_, r_, l_, c_
-
-
-# -- the jump oracle ----------------------------------------------------------
-#
-# For a Laurent polynomial f, an element of R = F_q((t))[g]/(g^p - g + f) is a
-# list of p exact polynomials {exponent: code} on the basis 1, g, ..., g^(p-1).
-# For ramified f, R is a totally ramified degree-p extension L of F_q((t)),
-# so v_L(x) = ord_t N(x).
-
-
-def _ring_mul(F, a, b, f):
-    """a * b in R: rewrites g^(p+k) = g^(k+1) - f g^k from the top down."""
-    p = len(a)
-    prod = [{}] * (2 * p - 1)
-    for i, x in enumerate(a):
-        if x:
-            for k, y in enumerate(b):
-                if y:
-                    prod[i + k] = laurent.add(F, prod[i + k], laurent.mul(F, x, y))
-    for k in range(2 * p - 2, p - 1, -1):
-        if c := prod[k]:
-            prod[k - p + 1] = laurent.add(F, prod[k - p + 1], c)
-            prod[k - p] = laurent.sub(F, prod[k - p], laurent.mul(F, f, c))
-    return prod[:p]
-
-
-def _sigma(F, a):
-    """The Galois generator g -> g + 1 applied to a, re-expanded."""
-    p = len(a)
-    out = [{}] * p
-    for m, x in enumerate(a):
-        if x:
-            for i in range(m + 1):
-                if k := math.comb(m, i) % p:
-                    out[i] = laurent.add(F, out[i], laurent.mul(F, x, {0: k}))
-    return out
-
-
-def _norm_order(F, a, f) -> int:
-    """ord_t N(a), with N(a) = prod_{k<p} sigma^k(a) computed in R."""
-    norm = conj = a
-    for _ in range(len(a) - 1):
-        conj = _sigma(F, conj)
-        norm = _ring_mul(F, norm, conj, f)
-    if not norm[0] or any(norm[1:]):
-        raise InternalMismatch(f"the norm of an element of the cover ring of {laurent.to_str(F, f)} "
-                               "is 0 or not in F_q((t))")
-    return min(norm[0])
-
-
-def verify_jump(F: GaloisField, f) -> bool:
-    """Independent ramification oracle on a Laurent polynomial f over F.
-
-    With the reduction's jump j and witnesses w, h = g + sum w solves
-    h^p - h = -(f - sum w(w)).  When the reduction is right, s = t^m h^(l')
-    with m = l'q' - c' (uniformizer_params) is a uniformizer of L, and
-    v(sigma(s) - s) = j + 1 (Serre, Local Fields, IV).  Checks both, with
-    v = ord_t N and N(s) = t^(pm) N(h)^(l').  An unramified f raises InvalidJump.
-    """
-    f = nonzero_codes(F, f)
-    cls, witnesses = reduce_with_witnesses(F, f)
-    p, j = F.p, cls.jump
-    q_, _r, l_, c_ = uniformizer_params(p, j)
-    h = power = [dict(witnesses), {0: 1}] + [{}] * (p - 2)
-    for _ in range(l_ - 1):
-        power = _ring_mul(F, power, h, f)
-    pm = p * (l_ * q_ - c_)  # sigma(s) - s = t^m (sigma(h^l') - h^l')
-    delta = [laurent.sub(F, x, y) for x, y in zip(_sigma(F, power), power)]
-    return pm + l_ * _norm_order(F, h, f) == 1 and pm + _norm_order(F, delta, f) == j + 1
+    cls.const_class.  Frobenius, not the p-th root, undoes each witness, so
+    a wrong root map fails here.  (The positive tail is absorbed implicitly
+    and is not certified here.)"""
+    p, (add, neg, frob, _, trace, _) = F.p, F.codes
+    g = nonzero_codes(F, f, polar=True)
+    for e, c in witnesses:
+        g[p * e] = add(g.get(p * e, 0), neg(frob(c)))
+        g[e] = add(g.get(e, 0), c)
+    return trace(g.pop(0, 0)) == cls.const_class and {e: c for e, c in g.items() if c} == cls._polar()
 
 
 # -- counting and enumeration ------------------------------------------------
@@ -373,7 +301,8 @@ def enumerate_covers(q: int, max_exp: int, guard: int = 10 ** 7) -> CensusReport
 
     The report records, for each jump j <= max_exp, the number of distinct
     normal forms against the stratum formula, and checks that every
-    reduction fiber has exactly q^floor(max_exp/p) elements.
+    reduction fiber has exactly q^floor(max_exp/p) elements.  guard bounds
+    the inputs, and MAX_CENSUS_CLASSES the classes the report keeps.
 
     The inputs are walked as an odometer of digits, the digit at t^-2
     turning fastest, and each step settles again only the levels from the
@@ -381,7 +310,7 @@ def enumerate_covers(q: int, max_exp: int, guard: int = 10 ** 7) -> CensusReport
     _reduce_codes, level by level: level i reads the carry from level p*i
     and sets v = c + carry.  When p divides i and v != 0, the witness
     r = root(v) carries to level i/p, and the witness identity of
-    _witnesses_hold for that coefficient, v - frob(r) = 0, is checked there
+    witnesses_account_for for that coefficient, v - frob(r) = 0, is checked there
     with Frobenius, not the root.  Otherwise a nonzero v puts (i, v) on the
     class key.  Level i depends only on the digits at t^-max_exp ... t^-i,
     so one settled level serves every input with that prefix, and each
@@ -400,6 +329,10 @@ def enumerate_covers(q: int, max_exp: int, guard: int = 10 ** 7) -> CensusReport
     # q >= 2, so max_exp >= guard.bit_length() already means q^max_exp > guard
     if max_exp >= guard.bit_length() or q ** max_exp > guard:
         raise EnumerationTooLarge(f"{q}^{max_exp} exceeds the enumeration guard {guard}")
+    classes = q ** (max_exp - max_exp // p)
+    if classes > MAX_CENSUS_CLASSES:
+        raise EnumerationTooLarge(f"the census would keep {q}^{max_exp - max_exp // p} = {classes} classes, "
+                                  f"above the class guard {MAX_CENSUS_CLASSES}")
     F = GF(p, e)
     add, _, frob, root, trace, _ = F.codes
     # per level i in 1..max_exp: its digit, the witness root carried in from
@@ -450,7 +383,7 @@ def enumerate_covers(q: int, max_exp: int, guard: int = 10 ** 7) -> CensusReport
         max_exp=max_exp,
         total_inputs=q ** max_exp,
         class_count=len(fibers),
-        expected_class_count=q ** (max_exp - max_exp // p),
+        expected_class_count=classes,
         jump_histogram=jump_rows,
         expected_fiber_size=expected_fiber,
         fibers_uniform=set(fibers.values()) == {expected_fiber},

@@ -1,36 +1,19 @@
-"""Laurent polynomials over a finite field and the Artin-Schreier operator.
+"""Laurent polynomials over a finite field: the sparse kernel that the
+verification battery and its jump oracle (oracles.py) compute with, and
+the Artin-Schreier operator.
 
 A polynomial is its sparse dict {exponent: nonzero code}, exact in every
-exponent, negative ones included, passed beside its GaloisField.  Nothing
-in the package needs a series known only to a finite precision: a cover
-class depends on the polar part alone, because the positive tail lies in
-the Artin-Schreier image.
-
-Coefficients are codes, the ints in range(q) that stand for the elements
-of F_q (see gf); arithmetic runs on them through GaloisField.codes.
-nonzero_codes validates a dict at the package's entry points; add, sub and
-mul take validated dicts as is and return new ones.
+exponent, negative ones included, passed beside its GaloisField; codes
+stand for the elements of F_q (see gf), and arithmetic runs on them
+through GaloisField.codes.  add, sub and mul take validated dicts as is
+and return new ones; artin_schreier validates its input with
+covers.nonzero_codes.
 """
 
 from __future__ import annotations
 
+from .covers import nonzero_codes
 from .gf import GaloisField
-
-
-def nonzero_codes(field: GaloisField, coeffs, polar: bool = False) -> dict[int, int]:
-    """{exponent: code} for the nonzero codes of coeffs, only the terms up to
-    t^0 when polar is set; ValueError unless every term, dropped or not, has
-    an int exponent and a code of field: an int, not a bool, in
-    range(field.order)."""
-    order, clean = field.order, {}
-    for key, c in (coeffs or {}).items():
-        if type(c) is not int or not 0 <= c < order:
-            raise ValueError(f"coefficient {c!r} is not a code of {field}, an int in range({order})")
-        if type(key) is not int:
-            raise ValueError(f"exponent {key!r} is not an int")
-        if c and (not polar or key <= 0):
-            clean[key] = c
-    return clean
 
 
 def add(field: GaloisField, a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
@@ -70,14 +53,3 @@ def artin_schreier(field: GaloisField, x) -> dict[int, int]:
     x = nonzero_codes(field, x)
     p, frobenius = field.p, field.codes[2]
     return sub(field, {p * e: frobenius(c) for e, c in x.items()}, x)
-
-
-def to_str(field: GaloisField, x: dict[int, int]) -> str:
-    """x as 'c*t^e + ...' in increasing exponent, '0' for the zero polynomial."""
-    parts = []
-    for e in sorted(x):
-        cs = field.format(x[e])
-        if "+" in cs or "-" in cs:
-            cs = f"({cs})"
-        parts.append(cs if e == 0 else f"{cs}*t" if e == 1 else f"{cs}*t^{e}")
-    return " + ".join(parts) if parts else "0"

@@ -1,12 +1,21 @@
-"""Second routes to stringy's closed forms.  The verification battery
-(acceptance.py) compares each closed form with its route here, so
-production calls compute each quantity once."""
+"""Second routes to the closed forms of stringy and to the jumps of
+covers.  The verification battery (acceptance.py) compares each closed
+form with its route here, so production calls compute each quantity once.
+
+The jump oracle computes in R = F_q((t))[g]/(g^p - g + f) exactly.  An
+element of R is a list of p polynomials {exponent: code} on the basis
+1, g, ..., g^(p-1).  For ramified f, R is a totally ramified degree-p
+extension L of F_q((t)), so every valuation is read off a norm,
+v_L(x) = ord_t N(x).  It calls covers and laurent through their module
+attributes, so a tracer that swaps those attributes sees its calls."""
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
-from . import stringy
+from . import covers, laurent, stringy
+from .gf import InternalMismatch, InvalidJump, _require_int
 from .motivic import L, MotivicValue, geometric_sum
 
 
@@ -87,3 +96,82 @@ def _stringy_from_resolution(strata) -> MotivicValue:
             term = term * (L - 1) / (_lp(1 + a) - 1)
         total = total + term
     return total
+
+
+def uniformizer_params(p: int, j: int) -> tuple[int, int, int, int]:
+    """Solve j = p*q' - r' (1 <= r' < p) and l'*r' = p*c' + 1 (1 <= l' < p).
+
+    Then t^(l'q'-c') g^(l') has valuation p(l'q'-c') - l'j = 1 in the cover
+    ring, i.e. it is a uniformizer.
+    """
+    _require_int(j, "jump")
+    if j <= 0 or j % p == 0:
+        raise InvalidJump(f"jump {j} must be positive and coprime to {p}")
+    r_ = (-j) % p
+    q_ = (j + r_) // p
+    l_ = pow(r_, -1, p)
+    c_ = (l_ * r_ - 1) // p
+    if p * (l_ * q_ - c_) - l_ * j != 1:
+        raise InternalMismatch(f"uniformizer exponents for p = {p}, j = {j} miss valuation 1")
+    return q_, r_, l_, c_
+
+
+def _ring_mul(F, a, b, f):
+    """a * b in R: rewrites g^(p+k) = g^(k+1) - f g^k from the top down."""
+    p = len(a)
+    prod = [{}] * (2 * p - 1)
+    for i, x in enumerate(a):
+        if x:
+            for k, y in enumerate(b):
+                if y:
+                    prod[i + k] = laurent.add(F, prod[i + k], laurent.mul(F, x, y))
+    for k in range(2 * p - 2, p - 1, -1):
+        if c := prod[k]:
+            prod[k - p + 1] = laurent.add(F, prod[k - p + 1], c)
+            prod[k - p] = laurent.sub(F, prod[k - p], laurent.mul(F, f, c))
+    return prod[:p]
+
+
+def _sigma(F, a):
+    """The Galois generator g -> g + 1 applied to a, re-expanded."""
+    p = len(a)
+    out = [{}] * p
+    for m, x in enumerate(a):
+        if x:
+            for i in range(m + 1):
+                if k := math.comb(m, i) % p:
+                    out[i] = laurent.add(F, out[i], laurent.mul(F, x, {0: k}))
+    return out
+
+
+def _norm_order(F, a, f) -> int:
+    """ord_t N(a), with N(a) = prod_{k<p} sigma^k(a) computed in R."""
+    norm = conj = a
+    for _ in range(len(a) - 1):
+        conj = _sigma(F, conj)
+        norm = _ring_mul(F, norm, conj, f)
+    if not norm[0] or any(norm[1:]):
+        raise InternalMismatch(f"the norm of an element of the cover ring of {covers.to_str(F, f)} "
+                               "is 0 or not in F_q((t))")
+    return min(norm[0])
+
+
+def verify_jump(F, f) -> bool:
+    """Independent ramification oracle on a Laurent polynomial f over F.
+
+    With the reduction's jump j and witnesses w, h = g + sum w solves
+    h^p - h = -(f - sum w(w)).  When the reduction is right, s = t^m h^(l')
+    with m = l'q' - c' (uniformizer_params) is a uniformizer of L, and
+    v(sigma(s) - s) = j + 1 (Serre, Local Fields, IV).  Checks both, with
+    v = ord_t N and N(s) = t^(pm) N(h)^(l').  An unramified f raises InvalidJump.
+    """
+    f = covers.nonzero_codes(F, f)
+    cls, witnesses = covers.reduce_with_witnesses(F, f)
+    p, j = F.p, cls.jump
+    q_, _r, l_, c_ = uniformizer_params(p, j)
+    h = power = [dict(witnesses), {0: 1}] + [{}] * (p - 2)
+    for _ in range(l_ - 1):
+        power = _ring_mul(F, power, h, f)
+    pm = p * (l_ * q_ - c_)  # sigma(s) - s = t^m (sigma(h^l') - h^l')
+    delta = [laurent.sub(F, x, y) for x, y in zip(_sigma(F, power), power)]
+    return pm + l_ * _norm_order(F, h, f) == 1 and pm + _norm_order(F, delta, f) == j + 1

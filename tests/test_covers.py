@@ -12,7 +12,7 @@ import pytest
 import sympy
 
 from gf_reference import Reference
-from wildmckay import covers
+from wildmckay import covers, laurent, oracles
 from wildmckay.cli import main
 from wildmckay.covers import (
     ASCoverClass,
@@ -21,15 +21,14 @@ from wildmckay.covers import (
     count_extensions,
     count_rep_covers,
     enumerate_covers,
+    nonzero_codes,
     reduce,
     reduce_with_witnesses,
-    uniformizer_params,
-    verify_jump,
     witnesses_account_for,
 )
 from wildmckay.gf import GF, InternalMismatch, PreconditionError, require_prime_power
-from wildmckay import laurent
-from wildmckay.laurent import artin_schreier, nonzero_codes
+from wildmckay.laurent import artin_schreier
+from wildmckay.oracles import uniformizer_params, verify_jump
 
 F2 = GF(2)
 F3 = GF(3)
@@ -53,12 +52,12 @@ def element(field, *comps):
 def power(F, a, n, f):
     out = a
     for _ in range(n - 1):
-        out = covers._ring_mul(F, out, a, f)
+        out = oracles._ring_mul(F, out, a, f)
     return out
 
 
 def delta(F, a):
-    return [laurent.sub(F, x, y) for x, y in zip(covers._sigma(F, a), a)]
+    return [laurent.sub(F, x, y) for x, y in zip(oracles._sigma(F, a), a)]
 
 
 class TestReduce:
@@ -208,13 +207,13 @@ class TestCoverRingArithmetic:
     """Exact arithmetic in F_q((t))[g]/(g^p - g + f), on lists of p polynomials {exponent: code}."""
 
     def test_sigma_of_g(self):
-        assert covers._sigma(F2, element(F2, {}, {0: 1})) == element(F2, {0: 1}, {0: 1})
+        assert oracles._sigma(F2, element(F2, {}, {0: 1})) == element(F2, {0: 1}, {0: 1})
 
     def test_delta_of_g_times_series(self):
         # (sigma - id)(g*h) = h for h in the base field of polynomials
         f = {-2: 1}
         h = element(F3, {3: 2}, {}, {})
-        gh = covers._ring_mul(F3, element(F3, {}, {0: 1}, {}), h, f)
+        gh = oracles._ring_mul(F3, element(F3, {}, {0: 1}, {}), h, f)
         assert delta(F3, gh) == h
 
     def test_defining_relation(self):
@@ -225,19 +224,19 @@ class TestCoverRingArithmetic:
 
     def test_valuation_examples(self):
         # v(t^n g^i) = np - ij on a cover of jump j
-        assert covers._norm_order(F2, element(F2, {}, {0: 1}), {-1: 1}) == -1
+        assert oracles._norm_order(F2, element(F2, {}, {0: 1}), {-1: 1}) == -1
         x = element(F5, {}, {}, {1: 1}, {}, {})  # t * g^2: 5 - 6 = -1
-        assert covers._norm_order(F5, x, {-3: 1}) == -1
+        assert oracles._norm_order(F5, x, {-3: 1}) == -1
 
     def test_uniformizer_valuation(self):
         f = {-2: 1}
         q_, _, l_, c_ = uniformizer_params(3, 2)
-        s = covers._ring_mul(F3, element(F3, {l_ * q_ - c_: 1}, {}, {}), power(F3, element(F3, {}, {0: 1}, {}), l_, f), f)
-        assert covers._norm_order(F3, s, f) == 1
+        s = oracles._ring_mul(F3, element(F3, {l_ * q_ - c_: 1}, {}, {}), power(F3, element(F3, {}, {0: 1}, {}), l_, f), f)
+        assert oracles._norm_order(F3, s, f) == 1
 
     def test_zero_has_no_valuation(self):
         with pytest.raises(InternalMismatch):
-            covers._norm_order(F2, element(F2, {}, {}), {-1: 1})
+            oracles._norm_order(F2, element(F2, {}, {}), {-1: 1})
 
     @pytest.mark.parametrize("F", [F2, F3, F5])
     def test_norm_order_is_the_resultant_order(self, F):
@@ -259,7 +258,7 @@ class TestCoverRingArithmetic:
                 continue
             res = sympy.resultant(g ** p - g + sym(f), sum(sym(a) * g ** i for i, a in enumerate(x)), g)
             num, den = sympy.fraction(sympy.together(res))
-            assert covers._norm_order(F, x, f) == t_order(num) - t_order(den)
+            assert oracles._norm_order(F, x, f) == t_order(num) - t_order(den)
 
 
 class TestVerifyJump:
@@ -280,13 +279,13 @@ class TestVerifyJump:
 
     def test_sigma_s_minus_s_valuation(self):
         s = element(F2, {}, {1: 1})  # t * g
-        assert covers._norm_order(F2, delta(F2, s), {-1: 1}) == 2
+        assert oracles._norm_order(F2, delta(F2, s), {-1: 1}) == 2
 
     def test_p3_jump2(self):
         f = {-2: 1}
         q_, _, l_, c_ = uniformizer_params(3, 2)
-        s = covers._ring_mul(F3, element(F3, {l_ * q_ - c_: 1}, {}, {}), power(F3, element(F3, {}, {0: 1}, {}), l_, f), f)
-        assert covers._norm_order(F3, delta(F3, s), f) == 3
+        s = oracles._ring_mul(F3, element(F3, {l_ * q_ - c_: 1}, {}, {}), power(F3, element(F3, {}, {0: 1}, {}), l_, f), f)
+        assert oracles._norm_order(F3, delta(F3, s), f) == 3
 
     def test_unramified_rejected(self):
         with pytest.raises(InvalidJump):
@@ -305,10 +304,10 @@ class TestVerifyJump:
                 ]
                 if not any(h):
                     continue
-                v = covers._norm_order(F, h, f)
+                v = oracles._norm_order(F, h, f)
                 if v % F.p == 0:
                     continue
-                assert covers._norm_order(F, delta(F, h), f) == v + j
+                assert oracles._norm_order(F, delta(F, h), f) == v + j
 
 
 class TestCounting:
@@ -383,6 +382,24 @@ class TestCensus:
         assert done.returncode == 2
         assert "3^100000000 exceeds the enumeration guard 10000000" in done.stderr
 
+    def test_class_guard_refuses_before_the_walk(self):
+        # p > J makes every input its own class: 1009^2 classes took 3.3 s and 272 MB
+        start = time.perf_counter()
+        with pytest.raises(EnumerationTooLarge, match=r"1009\^2 = 1018081 classes, above the class guard 1000000"):
+            enumerate_covers(1009, 2)
+        assert time.perf_counter() - start < 1
+        done = cli_process("covers", "census", "--p", "1009", "--q", "1009", "--max-exp", "2")
+        assert done.returncode == 2
+        assert "1018081 classes, above the class guard" in done.stderr
+
+    def test_class_guard_bounds_the_class_count_not_the_inputs(self, monkeypatch):
+        # 3^4 inputs in 3^(4 - 1) = 27 classes
+        monkeypatch.setattr(covers, "MAX_CENSUS_CLASSES", 27)
+        assert enumerate_covers(3, 4).class_count == 27
+        monkeypatch.setattr(covers, "MAX_CENSUS_CLASSES", 26)
+        with pytest.raises(EnumerationTooLarge, match="27 classes"):
+            enumerate_covers(3, 4)
+
     def test_determinism(self):
         a = enumerate_covers(2, 4).to_json(list_forms=True)
         b = enumerate_covers(2, 4).to_json(list_forms=True)
@@ -444,7 +461,6 @@ class TestIntCodedCore:
             assert cls.key() == (tuple(sorted((-x, c) for x, c in rep.items())), const)
             assert wits == core_wits
             assert witnesses_account_for(F, codes, cls, wits) is True
-            assert covers._witnesses_hold(F, polar, rep, const, core_wits) is True
             assert self.laurent_route(F, codes, cls, wits)
             if wits:
                 # dropping a witness must be caught by both routes

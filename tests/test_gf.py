@@ -8,7 +8,7 @@ import pytest
 import sympy
 
 from gf_reference import Reference, is_irreducible
-from wildmckay import covers, gf, stringy
+from wildmckay import covers, gf, oracles, stringy
 from wildmckay.gf import GF, MR_BOUND, PrimalityUnproven, is_prime, prime_power_decomposition
 from wildmckay.motivic import L
 
@@ -41,7 +41,7 @@ def test_p_q_e_jumps_and_const_class_must_be_ints():
         lambda: covers.count_rep_covers(2, 3.0),
         lambda: covers.count_extensions(2, 3.0),
         lambda: stringy.shift_number(stringy.RepType(3, [3]), 2.0),
-        lambda: covers.uniformizer_params(3, 2.0),
+        lambda: oracles.uniformizer_params(3, 2.0),
         lambda: covers.enumerate_covers(2, 3.0),
         lambda: covers.ASCoverClass(GF(2), {1: 1}, 1.5),
     ):

@@ -39,13 +39,17 @@ def test_the_cli_and_its_parser_load_only_gf():
     assert not SLOW_STDLIB & modules
 
 
+# a covers row names every module, so the covers commands load exactly gf and
+# covers: the jump oracle and the Laurent kernel it runs on are the battery's
 @pytest.mark.parametrize("argv, needed, unused", [
     (["stringy", "invariant", "--p", "5", "--dims", "5"], {"stringy", "motivic"},
      {"covers", "laurent", "acceptance", "oracles", "invariant_rings"}),
-    (["covers", "census", "--p", "2", "--q", "2", "--max-exp", "5"], {"covers", "laurent"},
-     {"motivic", "stringy", "acceptance", "oracles", "invariant_rings"}),
+    (["covers", "census", "--p", "2", "--q", "2", "--max-exp", "5"], {"cli", "gf", "covers"},
+     {"laurent", "motivic", "stringy", "acceptance", "oracles", "invariant_rings"}),
     (["verify", "v3", "--p", "5"], {"invariant_rings"},
      {"covers", "laurent", "stringy", "acceptance"}),
+    (["covers", "reduce", "--p", "3", "--q", "9", "--series=-9:1,-2:2,0:1"], {"cli", "gf", "covers"},
+     {"laurent", "motivic", "stringy", "acceptance", "oracles", "invariant_rings"}),
 ])
 def test_a_command_loads_only_what_it_uses(argv, needed, unused):
     modules = loaded(f"import wildmckay.cli\nassert wildmckay.cli.main({argv!r}) == 0")

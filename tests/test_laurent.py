@@ -5,9 +5,9 @@ import random
 import pytest
 
 from gf_reference import Reference
-from wildmckay.covers import ASCoverClass, reduce
+from wildmckay.covers import ASCoverClass, nonzero_codes, reduce, to_str
 from wildmckay.gf import GF
-from wildmckay.laurent import add, artin_schreier, mul, nonzero_codes, sub, to_str
+from wildmckay.laurent import add, artin_schreier, mul, sub
 
 F2 = GF(2)
 F3 = GF(3)
