@@ -59,7 +59,7 @@ def _parse_dims(text: str) -> tuple[int, ...]:
 def _parse_series(field, text: str) -> dict[int, int]:
     """Parse 'exp:coeff,exp:coeff' with int or polynomial coefficients
     into {exponent: code}; like terms add up, and a zero sum stays."""
-    coeffs, add = {}, field.codes[0]
+    coeffs, add = {}, field.add
     text = text.strip()
     if text:
         for chunk in text.split(","):

@@ -11,10 +11,12 @@ polar part is read.
 
 A Laurent polynomial f is its sparse dict {exponent: nonzero code}, codes
 as in gf, passed beside its field F: the public entry points take (F, f)
-and validate f with nonzero_codes.  The module provides the reduction with
-accumulated witnesses, kept as (exponent, code) monomials from the
-int-coded core onward, the ramification jump, stratum counting formulas,
-and a brute-force census engine that cross-checks them.
+and validate f with nonzero_codes; the reduction runs on F's maps add,
+root and trace, and its checks undo each witness with frob.  The module
+provides the reduction with accumulated witnesses, kept as (exponent,
+code) monomials from the int-coded core onward, the ramification jump,
+stratum counting formulas, and a brute-force census engine that
+cross-checks them.
 
 The census reduces every input on its own but shares work between inputs:
 the reduction runs from the most negative exponent up, and a witness made
@@ -108,11 +110,11 @@ class ASCoverClass:
 
     def lift(self) -> dict[int, int]:
         """A Laurent polynomial {exponent: code} in the class: rep plus the
-        first constant, in encoding order, whose trace (the map F.codes[4])
+        first constant, in encoding order, whose trace (the map F.trace)
         is const_class.  The trace is F_p-linear: for the least i with
         tr(y^i) != 0, all codes below p^i have trace 0, so that constant is
         t/tr(y^i) * y^i."""
-        F, t, tr = self.field, self.const_class, self.field.codes[4]
+        F, t, tr = self.field, self.const_class, self.field.trace
         coeffs = self._polar()
         if t:
             i = next(i for i in range(F.e) if tr(F.p ** i))
@@ -158,7 +160,7 @@ def _reduce_codes(F, f):
     e, e/p, e/p^2, ... from its most negative end visits every exponent
     after all of its input.
     """
-    p, (add, _, _, root, trace, _) = F.p, F.codes
+    p, add, root, trace = F.p, F.add, F.root, F.trace
     rep = dict(f)
     const = trace(rep.pop(0, 0))
     witnesses = []
@@ -205,7 +207,7 @@ def witnesses_account_for(F: GaloisField, f, cls: ASCoverClass, witnesses) -> bo
     cls.const_class.  Frobenius, not the p-th root, undoes each witness, so
     a wrong root map fails here.  (The positive tail is absorbed implicitly
     and is not certified here.)"""
-    p, (add, neg, frob, _, trace, _) = F.p, F.codes
+    p, add, neg, frob, trace = F.p, F.add, F.neg, F.frob, F.trace
     g = nonzero_codes(F, f, polar=True)
     for e, c in witnesses:
         g[p * e] = add(g.get(p * e, 0), neg(frob(c)))
@@ -334,7 +336,7 @@ def enumerate_covers(q: int, max_exp: int, guard: int = 10 ** 7) -> CensusReport
         raise EnumerationTooLarge(f"the census would keep {q}^{max_exp - max_exp // p} = {classes} classes, "
                                   f"above the class guard {MAX_CENSUS_CLASSES}")
     F = GF(p, e)
-    add, _, frob, root, trace, _ = F.codes
+    add, frob, root, trace = F.add, F.frob, F.root, F.trace
     # per level i in 1..max_exp: its digit, the witness root carried in from
     # level p*i (0 for none), and the key pairs (index, code) of levels i and
     # up; the levels above max_exp, at least level 2, stay empty

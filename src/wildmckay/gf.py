@@ -8,8 +8,9 @@ runs and machines.  For e = 1 the modulus is y itself.
 
 An element is its code, the base-p integer c_0 + c_1*p + ... of its
 residue, an int in range(p^e); for e = 1 that is the integer mod p.  The
-maps of GaloisField.codes do the arithmetic, and parse and format convert
-at the edges.
+six maps of a GaloisField (add, neg, frob, root, trace, mul) do the
+arithmetic, parse and format convert at the edges, and binary_power is the
+package's one square-and-multiply loop, for residues and ring elements.
 
 The absolute trace Tr(x) = x + x^p + ... + x^{p^{e-1}} lands in the prime
 field and is returned as a plain int; its kernel is exactly the image of
@@ -167,31 +168,23 @@ def _pmod(a: list[int], m: list[int], p: int) -> list[int]:
     return a
 
 
-def _ppowmod(a: list[int], n: int, m: list[int], p: int) -> list[int]:
-    result = [1]
-    base = _pmod(a, m, p)
-    while n:
-        if n & 1:
-            result = _pmod(_pmul(result, base, p), m, p)
-        n >>= 1
-        if n:
-            base = _pmod(_pmul(base, base, p), m, p)
-    return result
+def _mulmod(m: list[int], p: int):
+    """The product of F_p[y]/(m) on coefficient lists of degree below deg m."""
+    return lambda a, b: _pmod(_pmul(a, b, p), m, p)
 
 
-def binary_power(base, n: int, one):
-    """base ** n, one for n = 0, by square-and-multiply: no product with one, no unused square."""
-    if n < 0:
-        raise ValueError(f"negative exponent {n}")
-    if not n:
-        return one
+def binary_power(base, n: int, mul=operator.mul):
+    """base ** n for n >= 1, with the product mul, by square-and-multiply: no
+    product with one, no unused square.  ValueError for n < 1."""
+    if n < 1:
+        raise ValueError(f"exponent {n} is not positive")
     while not n & 1:
-        base, n = base * base, n >> 1
+        base, n = mul(base, base), n >> 1
     result = base
     while n := n >> 1:
-        base = base * base
+        base = mul(base, base)
         if n & 1:
-            result = result * base
+            result = mul(result, base)
     return result
 
 
@@ -204,10 +197,10 @@ def _pgcd(a: list[int], b: list[int], p: int) -> list[int]:
 def _is_irreducible(m: list[int], p: int) -> bool:
     # m monic of degree e: irreducible iff y^(p^e) = y mod m and
     # gcd(y^(p^(e/l)) - y, m) = 1 for every prime l | e.
-    e = len(m) - 1
+    e, mulmod = len(m) - 1, _mulmod(m, p)
 
     def frobenius_minus_y(k: int) -> list[int]:
-        t = _ppowmod([0, 1], p ** k, m, p)
+        t = binary_power([0, 1], p ** k, mulmod)  # y is reduced mod m: e >= 2
         return _ptrim([(ti - yi) % p for ti, yi in itertools.zip_longest(t, [0, 1], fillvalue=0)])
 
     return not frobenius_minus_y(e) and all(
@@ -285,8 +278,8 @@ class _Memo(dict):
 
 
 def _code_maps(F):
-    """GaloisField.codes: the maps (add, neg, frobenius, pth_root, trace, mul)
-    on codes; trace returns an int in {0, ..., p-1}.  Prime fields use
+    """The maps add, neg, frob, root, trace and mul of GaloisField, in that
+    order, on codes; trace returns an int in {0, ..., p-1}.  Prime fields use
     integer arithmetic mod p, where Frobenius, root and trace are the
     identity (int); p = 2 adds by XOR and multiplies by AND.  Every other
     map is memoized on first use from the base-p digit lists of its
@@ -309,13 +302,15 @@ def _code_maps(F):
     def add_lists(x, y):
         return [(a + b) % p for a, b in itertools.zip_longest(x, y, fillvalue=0)]
 
-    def power(k):
-        return memo(lambda x: _ppowmod(x, k, m, p))
+    mulmod = _mulmod(m, p)
+
+    def power(k):  # a code's digit list has degree below e: it is reduced mod m
+        return memo(lambda x: binary_power(x, k, mulmod))
 
     def trace(x):
         acc = t = x
         for _ in range(e - 1):
-            t = _ppowmod(t, p, m, p)
+            t = binary_power(t, p, mulmod)
             acc = add_lists(acc, t)
         if any(acc[1:]):
             raise InternalMismatch(f"trace of {F.format(_code(x, p))} left the prime field")
@@ -325,14 +320,14 @@ def _code_maps(F):
         add, neg = operator.xor, int
     else:
         add, neg = memo2(add_lists), memo(lambda x: [-a % p for a in x])
-    mul = memo2(lambda x, y: _pmod(_pmul(x, y, p), m, p))
-    return add, neg, power(p), power(p ** (e - 1)), memo(trace), mul
+    return add, neg, power(p), power(p ** (e - 1)), memo(trace), memo2(mulmod)
 
 
 class GaloisField:
     """The field F_{p^e}; construct via the cached factory GF(p, e).
 
-    An element is its code, an int in range(order)."""
+    An element is its code, an int in range(order).  The maps add, neg,
+    frob (x -> x^p), root (x -> x^(1/p)), trace and mul act on codes."""
 
     def __init__(self, p: int, e: int):
         require_prime(p)
@@ -343,7 +338,7 @@ class GaloisField:
         self.e = e
         self.order = p ** e
         self.modulus = _find_modulus(p, e)
-        self.codes = _code_maps(self)
+        self.add, self.neg, self.frob, self.root, self.trace, self.mul = _code_maps(self)
 
     def parse(self, text: str) -> int:
         """The code of '3' or of a polynomial string 'a0+a1*y+a2*y^2' (minus allowed)."""

@@ -5,9 +5,9 @@ the Artin-Schreier operator.
 A polynomial is its sparse dict {exponent: nonzero code}, exact in every
 exponent, negative ones included, passed beside its GaloisField; codes
 stand for the elements of F_q (see gf), and arithmetic runs on them
-through GaloisField.codes.  add, sub and mul take validated dicts as is
-and return new ones; artin_schreier validates its input with
-covers.nonzero_codes.
+through the field's maps add, neg, mul and frob.  add, sub and mul take
+validated dicts as is and return new ones; artin_schreier validates its
+input with covers.nonzero_codes.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from .gf import GaloisField
 
 def add(field: GaloisField, a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
     """a + b."""
-    plus = field.codes[0]
+    plus = field.add
     out = dict(a)
     for e, c in b.items():
         s = plus(out.pop(e), c) if e in out else c
@@ -29,13 +29,13 @@ def add(field: GaloisField, a: dict[int, int], b: dict[int, int]) -> dict[int, i
 
 def sub(field: GaloisField, a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
     """a - b."""
-    neg = field.codes[1]
+    neg = field.neg
     return add(field, a, {e: neg(c) for e, c in b.items()})
 
 
 def mul(field: GaloisField, a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
     """a * b; a scalar code k is the polynomial {0: k}."""
-    plus, times = field.codes[0], field.codes[5]
+    plus, times = field.add, field.mul
     out: dict[int, int] = {}
     for e1, c1 in a.items():
         for e2, c2 in b.items():
@@ -51,5 +51,5 @@ def artin_schreier(field: GaloisField, x) -> dict[int, int]:
     power acts coefficient-wise through Frobenius and stretches exponents by p.
     """
     x = nonzero_codes(field, x)
-    p, frobenius = field.p, field.codes[2]
-    return sub(field, {p * e: frobenius(c) for e, c in x.items()}, x)
+    p, frob = field.p, field.frob
+    return sub(field, {p * e: frob(c) for e, c in x.items()}, x)

@@ -205,7 +205,7 @@ class MotivicValue:
             raise TypeError("exponent must be an integer; use l_power for L^e")
         if n < 0:
             return 1 / self ** -n
-        return binary_power(self, n, None) if n else type(self)({0: 1})
+        return binary_power(self, n) if n else type(self)({0: 1})
 
     def __eq__(self, other):
         if not isinstance(other, (MotivicValue, int, Fraction)):

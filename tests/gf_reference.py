@@ -32,7 +32,8 @@ def is_irreducible(modulus, p: int) -> bool:
 
 
 class Reference:
-    """The six maps of GaloisField.codes, and powers, computed by sympy."""
+    """The six maps of a GaloisField, with frob and root named frobenius and
+    pth_root, and powers, computed by sympy."""
 
     def __init__(self, field):
         self.p, self.e = field.p, field.e

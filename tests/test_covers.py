@@ -467,18 +467,18 @@ class TestIntCodedCore:
                 assert not witnesses_account_for(F, codes, cls, wits[1:])
                 assert not self.laurent_route(F, codes, cls, wits[1:])
 
-    @pytest.mark.parametrize("map_name,index,p,e", [
-        pytest.param("pth_root", 3, 2, 2, id="pth_root-3"),
-        pytest.param("frobenius", 2, 2, 2, id="frobenius-2"),
-        pytest.param("pth_root", 3, 3, 2, id="pth_root-3-F9"),
-        pytest.param("frobenius", 2, 3, 2, id="frobenius-2-F9"),
+    @pytest.mark.parametrize("map_name,attr,p,e", [
+        pytest.param("pth_root", "root", 2, 2, id="pth_root-3"),
+        pytest.param("frobenius", "frob", 2, 2, id="frobenius-2"),
+        pytest.param("pth_root", "root", 3, 2, id="pth_root-3-F9"),
+        pytest.param("frobenius", "frob", 3, 2, id="frobenius-2-F9"),
     ])
-    def test_wrong_field_map_fails_the_census(self, map_name, index, p, e, monkeypatch, capsys):
+    def test_wrong_field_map_fails_the_census(self, map_name, attr, p, e, monkeypatch, capsys):
         # root and Frobenius are memoized separately, so one wrong entry in
         # either makes the reduction and its check disagree; over F_4 add is
         # XOR, over F_9 add and neg are memoized maps too
         F = GF(p, e)
-        memo = F.codes[index].__self__
+        memo = getattr(F, attr).__self__
         right = getattr(Reference(F), map_name)(1)
         monkeypatch.setitem(memo, 1, right ^ 2)
         report = enumerate_covers(F.order, 4)
@@ -498,8 +498,8 @@ class TestIntCodedCore:
         # each input (the witness verdicts may differ: the census checks
         # v = frob(r), the public check sums with add)
         F = GF(p, e)
-        add = F.codes[0]
-        monkeypatch.setattr(F, "codes", (lambda a, b: add(0, b) if (a, b) == (1, 1) else add(a, b),) + F.codes[1:])
+        add = F.add
+        monkeypatch.setattr(F, "add", lambda a, b: add(0, b) if (a, b) == (1, 1) else add(a, b))
         report = enumerate_covers(F.order, 4)
         assert report.fibers_uniform is False
         assert census_by_reduction(F, 4)[0] == report.fiber_sizes

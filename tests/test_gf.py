@@ -89,7 +89,7 @@ def test_code_maps_agree_with_elements(p, e):
     # every code against the element arithmetic of sympy's galoistools
     F = GF(p, e)
     ref = Reference(F)
-    add, neg, frobenius, pth_root, trace, mul = F.codes
+    add, neg, frobenius, pth_root, trace, mul = F.add, F.neg, F.frob, F.root, F.trace, F.mul
     rng = random.Random(p * 31 + e)
     for x in range(F.order):
         assert neg(x) == ref.neg(x)
@@ -103,11 +103,12 @@ def test_code_maps_agree_with_elements(p, e):
 
 def test_prime_field_maps_build_no_table():
     p = 2 ** 61 - 1
-    add, neg, frobenius, pth_root, trace, mul = GF(p).codes
-    assert add(p - 1, 5) == 4 and neg(3) == p - 3
-    assert frobenius(7) == pth_root(7) == trace(7) == 7
-    assert mul(p - 1, p - 1) == 1 and mul(2 ** 60, 2) == 1
-    assert not any(isinstance(getattr(m, "__self__", None), dict) for m in GF(p).codes)
+    F = GF(p)
+    assert F.add(p - 1, 5) == 4 and F.neg(3) == p - 3
+    assert F.frob(7) == F.root(7) == F.trace(7) == 7
+    assert F.mul(p - 1, p - 1) == 1 and F.mul(2 ** 60, 2) == 1
+    maps = (F.add, F.neg, F.frob, F.root, F.trace, F.mul)
+    assert not any(isinstance(getattr(m, "__self__", None), dict) for m in maps)
 
 
 def test_modulus_is_deterministic_and_minimal():
@@ -165,7 +166,7 @@ def test_modulus_search_skips_candidates_divisible_by_y(monkeypatch):
 @pytest.mark.parametrize("p,e", FIELDS)
 def test_field_axioms_by_sampling(p, e):
     F = GF(p, e)
-    add, neg, _, _, _, mul = F.codes
+    add, neg, mul = F.add, F.neg, F.mul
     rng = random.Random(p * 100 + e)
     for _ in range(40):
         a, b, c = (rng.randrange(F.order) for _ in range(3))
@@ -183,7 +184,7 @@ def test_field_axioms_by_sampling(p, e):
 @pytest.mark.parametrize("p,e", FIELDS)
 def test_frobenius_is_additive_automorphism(p, e):
     F = GF(p, e)
-    add, _, frobenius, _, _, mul = F.codes
+    add, frobenius, mul = F.add, F.frob, F.mul
     rng = random.Random(17)
     for _ in range(25):
         a, b = rng.randrange(F.order), rng.randrange(F.order)
@@ -194,15 +195,14 @@ def test_frobenius_is_additive_automorphism(p, e):
 @pytest.mark.parametrize("p,e", FIELDS)
 def test_pth_root_total(p, e):
     F = GF(p, e)
-    _, _, frobenius, pth_root, _, _ = F.codes
     for x in range(F.order):
-        assert frobenius(pth_root(x)) == x
+        assert F.frob(F.root(x)) == x
 
 
 @pytest.mark.parametrize("p,e", FIELDS)
 def test_trace_lands_in_prime_field_and_kernel_size(p, e):
     F = GF(p, e)
-    traces = [F.codes[4](x) for x in range(F.order)]
+    traces = [F.trace(x) for x in range(F.order)]
     assert all(0 <= t < p for t in traces)
     # the trace kernel is the Artin-Schreier image, of index p
     assert sum(1 for t in traces if t == 0) == p ** e // p
@@ -211,7 +211,7 @@ def test_trace_lands_in_prime_field_and_kernel_size(p, e):
 @pytest.mark.parametrize("p,e", FIELDS)
 def test_artin_schreier_image_has_trace_zero(p, e):
     F = GF(p, e)
-    add, neg, frobenius, _, trace, _ = F.codes
+    add, neg, frobenius, trace = F.add, F.neg, F.frob, F.trace
     for x in range(F.order):
         assert trace(add(frobenius(x), neg(x))) == 0
 
@@ -244,7 +244,7 @@ def test_encoding_round_trip():
 def test_power_equals_repeated_product(p, e):
     # sympy's powers against repeated products of the mul map
     F = GF(p, e)
-    ref, mul = Reference(F), F.codes[5]
+    ref, mul = Reference(F), F.mul
     for x in range(F.order):
         acc = 1
         for n in range(64):

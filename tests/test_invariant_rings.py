@@ -218,8 +218,7 @@ class TestActions:
         act = standard_action(3, (3,))
         x1 = MultiPoly.variable(3, act.vars, "x1_1")
         x2 = MultiPoly.variable(3, act.vars, "x1_2")
-        assert act.apply(x1, 1) == x1 + x2
-        assert act.apply(x1, 0) == x1
+        assert act.apply(x1) == x1 + x2
 
     def test_delta_nilpotence(self):
         act = standard_action(5, (4, 2))
@@ -243,7 +242,7 @@ class TestActions:
         for _ in range(10):
             f = random_poly(rng, 3, act.vars, max_deg=2, max_terms=3)
             n = act.norm(f)
-            assert act.apply(n, 1) == n
+            assert act.apply(n) == n
 
     def test_norm_examples(self):
         act = standard_action(2, (2,))

@@ -1,6 +1,7 @@
 """One square-and-multiply loop, gf.binary_power, behind every ** on ring
-elements: exact product counts for MultiPoly and MotivicValue.  MultiPoly
-over F_5 powers one stretched base per base-5 digit of the exponent."""
+elements and every residue power in gf: exact product counts for
+MultiPoly, MotivicValue and a product function.  MultiPoly over F_5
+powers one stretched base per base-5 digit of the exponent."""
 
 import pytest
 
@@ -52,7 +53,21 @@ def test_power_takes_no_wasted_product(monkeypatch, kind, n):
 
 
 def test_negative_exponent_is_refused():
-    with pytest.raises(ValueError):
-        binary_power(3, -1, 1)
-    assert binary_power(3, 0, 1) == 1
-    assert [binary_power(3, n, 1) for n in range(1, 9)] == [3 ** n for n in range(1, 9)]
+    # every caller handles n = 0 itself, so binary_power takes n >= 1 only
+    for n in (-1, 0):
+        with pytest.raises(ValueError):
+            binary_power(3, n)
+    assert [binary_power(3, n) for n in range(1, 9)] == [3 ** n for n in range(1, 9)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 31, 32])
+def test_binary_power_counts_through_its_product(n):
+    # a product function, as gf passes for residues mod the modulus
+    squares, products = [], []
+
+    def counting(a, b):
+        (squares if a is b else products).append(1)
+        return a * b
+
+    assert binary_power(3, n, counting) == 3 ** n
+    assert (len(squares), len(products)) == expected_counts("int", n)
