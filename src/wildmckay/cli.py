@@ -6,8 +6,8 @@ Output is deterministic for a fixed invocation (including --seed); colors
 only ever appear on the stderr progress stream and honor NO_COLOR.
 
 Exit codes: 0 success, 1 internal error, 2 precondition violation
-(gf.PreconditionError: NotStringilyKLT, NotKLT, invalid flags and
-values), 3 verification failure.
+(gf.PreconditionError: NotStringilyKLT, NotKLT, a resource guard's
+gf.TooLarge, invalid flags and values), 3 verification failure.
 
 Every command, subcommand and option is one entry of the COMMANDS table.
 A plain call (a command path, then each of its options once, by its exact

@@ -34,19 +34,13 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 
-from .gf import MAX_COUNT_BITS, GF, GaloisField, InternalMismatch, InvalidJump, PreconditionError, _require_int
-from .gf import require_prime_power
+from .gf import MAX_COUNT_BITS, GF, GaloisField, InternalMismatch, InvalidJump, PreconditionError, TooLarge
+from .gf import _require_int, require_prime_power
 
-# a census keeps every class in its report, so it is refused above this many
+# a census walks every input, and keeps every class in its report, so it is
+# refused above this many of each; a caller's guard may only lower the first
+MAX_CENSUS_INPUTS = 10 ** 7
 MAX_CENSUS_CLASSES = 10 ** 6
-
-
-class EnumerationTooLarge(PreconditionError):
-    """The requested census exceeds the enumeration guard."""
-
-
-class CountTooLarge(PreconditionError):
-    """A stratum count's size bound exceeds MAX_COUNT_BITS."""
 
 
 def nonzero_codes(field: GaloisField, coeffs, polar: bool = False) -> dict[int, int]:
@@ -190,8 +184,8 @@ def reduce_with_witnesses(F: GaloisField, f) -> tuple[ASCoverClass, list[tuple[i
     polar = nonzero_codes(F, f, polar=True)
     bits = max((e.bit_length() for e in polar if e % F.p == 0), default=0)
     if bits * bits > MAX_COUNT_BITS:
-        raise PreconditionError(f"a term at an exponent of {bits} bits can need {bits * bits} bits of "
-                                f"witnesses, above the guard of {MAX_COUNT_BITS}")
+        raise TooLarge(f"a term at an exponent of {bits} bits can need {bits * bits} bits of "
+                       f"witnesses, above the guard of {MAX_COUNT_BITS}")
     rep, const, witnesses = _reduce_codes(F, polar)
     return ASCoverClass._of(F, {-e: c for e, c in rep.items()}, const), witnesses
 
@@ -230,8 +224,8 @@ def count_rep_covers(q: int, j: int) -> int:
     k = j - 1 - j // p
     bits = (q - 1).bit_length() * (k + 1)  # (q - 1) * q^k < 2^bits, exact for q = 2
     if bits > MAX_COUNT_BITS:
-        raise CountTooLarge(f"the count for q = {q}, jump {j} needs up to {bits} bits, "
-                            f"above the output guard of {MAX_COUNT_BITS}")
+        raise TooLarge(f"the count for q = {q}, jump {j} needs up to {bits} bits, "
+                       f"above the output guard of {MAX_COUNT_BITS}")
     return (q - 1) * q ** k
 
 
@@ -297,14 +291,15 @@ class CensusReport:
         return out
 
 
-def enumerate_covers(q: int, max_exp: int, guard: int = 10 ** 7) -> CensusReport:
+def enumerate_covers(q: int, max_exp: int, guard: int = MAX_CENSUS_INPUTS) -> CensusReport:
     """Reduce every Laurent polynomial supported on t^-1, ..., t^-max_exp
     over F_q and tabulate normal forms, jump counts and reduction fibers.
 
     The report records, for each jump j <= max_exp, the number of distinct
     normal forms against the stratum formula, and checks that every
     reduction fiber has exactly q^floor(max_exp/p) elements.  guard bounds
-    the inputs, and MAX_CENSUS_CLASSES the classes the report keeps.
+    the inputs, and can lower MAX_CENSUS_INPUTS but not raise it;
+    MAX_CENSUS_CLASSES bounds the classes the report keeps.
 
     The inputs are walked as an odometer of digits, the digit at t^-2
     turning fastest, and each step settles again only the levels from the
@@ -326,15 +321,16 @@ def enumerate_covers(q: int, max_exp: int, guard: int = 10 ** 7) -> CensusReport
     p, e = require_prime_power(q)
     _require_int(max_exp, "max_exp")
     _require_int(guard, "guard")
+    guard = min(guard, MAX_CENSUS_INPUTS)
     if max_exp < 0:
         raise PreconditionError(f"max_exp {max_exp} must be non-negative")
     # q >= 2, so max_exp >= guard.bit_length() already means q^max_exp > guard
     if max_exp >= guard.bit_length() or q ** max_exp > guard:
-        raise EnumerationTooLarge(f"{q}^{max_exp} exceeds the enumeration guard {guard}")
+        raise TooLarge(f"{q}^{max_exp} exceeds the enumeration guard {guard}")
     classes = q ** (max_exp - max_exp // p)
     if classes > MAX_CENSUS_CLASSES:
-        raise EnumerationTooLarge(f"the census would keep {q}^{max_exp - max_exp // p} = {classes} classes, "
-                                  f"above the class guard {MAX_CENSUS_CLASSES}")
+        raise TooLarge(f"the census would keep {q}^{max_exp - max_exp // p} = {classes} classes, "
+                       f"above the class guard {MAX_CENSUS_CLASSES}")
     F = GF(p, e)
     add, frob, root, trace = F.add, F.frob, F.root, F.trace
     # per level i in 1..max_exp: its digit, the witness root carried in from

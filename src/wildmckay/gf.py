@@ -32,6 +32,10 @@ class PreconditionError(ValueError):
     """An input violates a documented precondition (the CLI's exit 2)."""
 
 
+class TooLarge(PreconditionError):
+    """An input exceeds a documented resource guard."""
+
+
 class InvalidJump(PreconditionError):
     """Positive ramification jumps must be coprime to p."""
 
@@ -222,10 +226,6 @@ def _is_irreducible(m: list[int], p: int) -> bool:
 MAX_MODULUS_WORK = 10 ** 7
 
 
-class ModulusSearchTooLarge(PreconditionError):
-    """The search for the modulus of GF(p, e) exceeds MAX_MODULUS_WORK."""
-
-
 def _find_modulus(p: int, e: int) -> tuple[int, ...]:
     """Smallest irreducible monic modulus of degree e, in base-p order."""
     if e == 1:
@@ -234,7 +234,7 @@ def _find_modulus(p: int, e: int) -> tuple[int, ...]:
     cost = (e + 4) ** 2 * (q.bit_length() + q.bit_count())
     for n in range(q):  # the candidate with code n: c_0 varies fastest
         if (n + 1) * cost > MAX_MODULUS_WORK:
-            raise ModulusSearchTooLarge(
+            raise TooLarge(
                 f"no irreducible modulus of degree {e} over F_{p} among the first {n} candidates; "
                 f"each costs {cost} steps and the search stops at {MAX_MODULUS_WORK}"
             )

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 
-from .gf import PreconditionError, binary_power, is_prime, require_prime
+from .gf import PreconditionError, TooLarge, binary_power, is_prime, require_prime
 from .motivic import _add_terms, _mul_terms
 
 # Work guard of verify_dim3_relation, whose work grows about as p^3: p = 31, 101
@@ -51,13 +51,8 @@ def _pack(mono: tuple[int, ...]) -> int:
 
 def _require_degree(degree: int, what: str) -> None:
     if degree >= _MASK:
-        raise PreconditionError(f"{what} of degree up to {degree} is at least 2^{_B} - 1, "
-                                f"which packed monomials cannot hold")
-
-
-class RelationTooLarge(PreconditionError):
-    """An input exceeds the work guard of its relation check: MAX_V3_PRIME,
-    MAX_REFLECTION_PRIME or MAX_REFLECTION_DIM."""
+        raise TooLarge(f"{what} of degree up to {degree} is at least 2^{_B} - 1, "
+                       f"which packed monomials cannot hold")
 
 
 class MultiPoly:
@@ -259,31 +254,18 @@ class MultiPoly:
         return f"MultiPoly(F{self.p}[{','.join(self.vars)}]: {self})"
 
 
-class GroupAction:
-    """An order-p substitution action given by linear images of variables."""
-
-    __slots__ = ("p", "vars", "images")
-
-    def __init__(self, p: int, vars: tuple[str, ...], images: dict[str, MultiPoly]):
-        self.p = p
-        self.vars = vars
-        self.images = images
-
-    def apply(self, f: MultiPoly) -> MultiPoly:
-        """sigma(f), by substitution."""
-        return f.substitute(self.images)
-
-    def norm(self, f: MultiPoly) -> MultiPoly:
-        """prod_{k=0}^{p-1} sigma^k(f); always invariant."""
-        result = g = f
-        for _ in range(self.p - 1):
-            g = self.apply(g)
-            result = result * g
-        return result
+def norm(f: MultiPoly, images: dict[str, MultiPoly]) -> MultiPoly:
+    """prod_{k=0}^{p-1} sigma^k(f), p = f.p, for the order-p action sigma
+    that substitutes images for the variables; always invariant."""
+    result = g = f
+    for _ in range(f.p - 1):
+        g = g.substitute(images)
+        result = result * g
+    return result
 
 
-def standard_action(p: int, dims) -> GroupAction:
-    """The unipotent action on variables x_{lam,i}:
+def standard_action(p: int, dims) -> dict[str, MultiPoly]:
+    """The images of the unipotent action on variables x_{lam,i}:
     sigma(x_{lam,i}) = x_{lam,i} + x_{lam,i+1}, last variable fixed."""
     names = tuple(f"x{lam + 1}_{i + 1}" for lam, d in enumerate(dims) for i in range(d))
     images = {}
@@ -295,7 +277,7 @@ def standard_action(p: int, dims) -> GroupAction:
                 v = v + MultiPoly.variable(p, names, names[pos + i + 1])
             images[names[pos + i]] = v
         pos += d
-    return GroupAction(p, names, images)
+    return images
 
 
 def catalan_mod(i: int, p: int) -> int:
@@ -305,13 +287,11 @@ def catalan_mod(i: int, p: int) -> int:
     return (math.comb(2 * i, i) // (i + 1)) % p
 
 
-def dim3_action(p: int) -> tuple[GroupAction, MultiPoly, MultiPoly, MultiPoly]:
+def dim3_action(p: int) -> tuple[dict[str, MultiPoly], MultiPoly, MultiPoly, MultiPoly]:
     """The 3-dimensional indecomposable action on k[x, y, z]:
-    x -> x, y -> -x + y, z -> x - y + z; returns (action, x, y, z)."""
-    names = ("x", "y", "z")
-    x, y, z = MultiPoly.gens(p, names)
-    act = GroupAction(p, names, {"x": x, "y": -x + y, "z": x - y + z})
-    return act, x, y, z
+    x -> x, y -> -x + y, z -> x - y + z; returns (images, x, y, z)."""
+    x, y, z = MultiPoly.gens(p, ("x", "y", "z"))
+    return {"x": x, "y": -x + y, "z": x - y + z}, x, y, z
 
 
 def dim3_relation(p: int) -> MultiPoly:
@@ -337,34 +317,33 @@ def dim3_quadratic_invariant(p: int) -> MultiPoly:
 def verify_dim3_relation(p: int) -> dict:
     """Substitute the invariant generators x, N_y, N_z and the quadratic
     invariant into the hypersurface equation; test that it vanishes.
-    p above MAX_V3_PRIME raises RelationTooLarge."""
+    p above MAX_V3_PRIME raises TooLarge."""
     if p < 3 or not is_prime(p):
         raise PreconditionError("an odd prime is required")
     if p > MAX_V3_PRIME:
-        raise RelationTooLarge(f"p = {p} is above the work guard of {MAX_V3_PRIME} for the v3 relation, "
-                               f"whose work grows as p^3")
-    act, x, y, z = dim3_action(p)
-    n_y = act.norm(y)
-    n_z = act.norm(z)
+        raise TooLarge(f"p = {p} is above the work guard of {MAX_V3_PRIME} for the v3 relation, "
+                       f"whose work grows as p^3")
+    images, x, y, z = dim3_action(p)
     w = dim3_quadratic_invariant(p)
-    residual = dim3_relation(p).substitute({"X": x, "Y": n_y, "Z": n_z, "W": w})
+    residual = dim3_relation(p).substitute({"X": x, "Y": norm(y, images), "Z": norm(z, images), "W": w})
     return {"ok": residual.is_zero(), "residual": residual}
 
 
-def dim22_generators() -> tuple[GroupAction, dict[str, MultiPoly]]:
+def dim22_generators() -> tuple[dict[str, MultiPoly], dict[str, MultiPoly]]:
     """Invariant generators for the p = 2 action on two 2-dimensional
     summands.  The assignment of generators to the equation's variables is
-    validated by verify_dim22_relation itself (invariance + vanishing)."""
-    act = standard_action(2, (2, 2))
-    x11, x12, x21, x22 = MultiPoly.gens(2, act.vars)
+    validated by verify_dim22_relation itself (invariance + vanishing).
+    Returns (images of the action, generators)."""
+    images = standard_action(2, (2, 2))
+    x11, x12, x21, x22 = MultiPoly.gens(2, tuple(images))
     gens = {
         "V": x12,
         "W": x22,
-        "X": act.norm(x11),
-        "Y": act.norm(x21),
+        "X": norm(x11, images),
+        "Y": norm(x21, images),
         "Z": x11 * x22 + x21 * x12,
     }
-    return act, gens
+    return images, gens
 
 
 def dim22_relation() -> MultiPoly:
@@ -377,9 +356,9 @@ def dim22_relation() -> MultiPoly:
 def verify_dim22_relation(gens: dict | None = None) -> dict:
     """Check that each generator is invariant and that the hypersurface
     equation vanishes under the generator assignment."""
-    act, default = dim22_generators()
+    images, default = dim22_generators()
     gens = default if gens is None else gens
-    invariance_ok = all(act.apply(g) == g for g in gens.values())
+    invariance_ok = all(g.substitute(images) == g for g in gens.values())
     residual = dim22_relation().substitute(gens)
     return {"ok": residual.is_zero(), "invariance_ok": invariance_ok, "residual": residual}
 
@@ -388,23 +367,18 @@ def reflection_jacobian_check(p: int, d: int) -> dict:
     """For the reflection action sigma(x) = x + y on k[x, y, z_1, ...]:
     check that x^p - x y^(p-1) is invariant and that the Jacobian
     determinant of the invariant generators equals +-y^(p-1).  p above
-    MAX_REFLECTION_PRIME or d above MAX_REFLECTION_DIM raises
-    RelationTooLarge."""
+    MAX_REFLECTION_PRIME or d above MAX_REFLECTION_DIM raises TooLarge."""
     require_prime(p)
     if d < 2:
         raise PreconditionError("dimension must be at least 2")
     if p > MAX_REFLECTION_PRIME or d > MAX_REFLECTION_DIM:
-        raise RelationTooLarge(f"p = {p}, d = {d} is above the work guard of p <= {MAX_REFLECTION_PRIME}, "
-                               f"d <= {MAX_REFLECTION_DIM} for the reflection check, whose work grows as d^3")
+        raise TooLarge(f"p = {p}, d = {d} is above the work guard of p <= {MAX_REFLECTION_PRIME}, "
+                       f"d <= {MAX_REFLECTION_DIM} for the reflection check, whose work grows as d^3")
     names = ("x", "y") + tuple(f"z{i + 1}" for i in range(d - 2))
     gens = MultiPoly.gens(p, names)
     x, y = gens[0], gens[1]
-    images = {"x": x + y}
-    for name, g in zip(names[1:], gens[1:]):
-        images[name] = g
-    act = GroupAction(p, names, images)
     u = x ** p - x * y ** (p - 1)
-    invariance_ok = act.apply(u) == u
+    invariance_ok = u.substitute({"x": x + y, "y": y}) == u  # u is in x and y alone
     det = jacobian_determinant([u, y] + gens[2:], names)
     target = y ** (p - 1)
     det_ok = det == target or det == -target

@@ -12,6 +12,7 @@ attributes, so a tracer that swaps those attributes sees its calls."""
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 
 from . import covers, laurent, stringy
@@ -31,7 +32,7 @@ def _fiber_class_via_strata(rep) -> MotivicValue:
 
         1 + geometric_sum((L - 1) * sum_s L^(s-1-sht(s)), p-1-D).
     """
-    leads = sum(_lp(s - 1 - stringy.shift_number(rep, s)) for s in range(1, rep.p))
+    leads = MotivicValue(Counter(s - 1 - stringy.shift_number(rep, s) for s in range(1, rep.p)))
     return 1 + geometric_sum((L - 1) * leads, rep.p - 1 - stringy.shift_slope(rep))
 
 

@@ -31,7 +31,8 @@ import itertools
 from collections import Counter
 from fractions import Fraction
 
-from .gf import MAX_COUNT_BITS, InvalidJump, PreconditionError, _require_int, prime_power_decomposition, require_prime
+from .gf import MAX_COUNT_BITS, InvalidJump, PreconditionError, TooLarge, _require_int, prime_power_decomposition
+from .gf import require_prime
 from .motivic import L, MotivicValue, Rat, _add_terms, _exact, _mul_terms
 
 
@@ -53,14 +54,6 @@ class BaseFieldMismatch(PreconditionError):
 MAX_DEGREE = 2 ** 16
 
 
-class DegreeTooLarge(PreconditionError):
-    """A closed form's unreduced degree exceeds MAX_DEGREE."""
-
-
-class PointCountTooLarge(PreconditionError):
-    """A point count's unreduced size exceeds gf.MAX_COUNT_BITS."""
-
-
 # Work guard on the shift numbers, counted in floor terms: sht(1), ...,
 # sht(p-1) take (p - 1) * sum (d - 1) of them.  Each call forms that list
 # once (shift_numbers), and neither the degree nor the output guard bounds
@@ -73,15 +66,11 @@ class PointCountTooLarge(PreconditionError):
 MAX_SHIFT_WORK = 10 ** 6
 
 
-class ShiftWorkTooLarge(PreconditionError):
-    """The shift numbers sht(1), ..., sht(p-1) exceed MAX_SHIFT_WORK."""
-
-
 def _require_degree(degree: Rat) -> None:
     # over its lowest denominator r, the numerator counts units of L^(1/r)
     if (units := Fraction(degree).numerator) > MAX_DEGREE:
-        raise DegreeTooLarge(f"the closed form has degree {units} in L^(1/r) before reduction, "
-                             f"above the output guard of {MAX_DEGREE}")
+        raise TooLarge(f"the closed form has degree {units} in L^(1/r) before reduction, "
+                       f"above the output guard of {MAX_DEGREE}")
 
 
 class RepType:
@@ -161,8 +150,8 @@ def shift_numbers(rep: RepType) -> tuple[int, ...]:
 
 def _require_shift_work(rep: RepType) -> None:
     if (work := (rep.p - 1) * sum(d - 1 for d in rep.dims)) > MAX_SHIFT_WORK:
-        raise ShiftWorkTooLarge(f"the shift numbers of p = {rep.p} take {work} floor terms, "
-                                f"above the work guard of {MAX_SHIFT_WORK}")
+        raise TooLarge(f"the shift numbers of p = {rep.p} take {work} floor terms, "
+                       f"above the work guard of {MAX_SHIFT_WORK}")
 
 
 def _require_stringily_klt(rep: RepType) -> None:
@@ -254,8 +243,8 @@ def origin_fiber_point_count(rep: RepType, q: int) -> Fraction:
         # base-q digits; m >= 0, so m = 0 is checked before the loop finds m
         if (bits := digits * q.bit_length()) > MAX_COUNT_BITS:
             dims = ",".join(map(str, rep.dims))
-            raise PointCountTooLarge(f"the point count for dims {dims} over q = {p}^{pe[1]} needs up to "
-                                     f"{bits} bits, above the output guard of {MAX_COUNT_BITS}")
+            raise TooLarge(f"the point count for dims {dims} over q = {p}^{pe[1]} needs up to "
+                           f"{bits} bits, above the output guard of {MAX_COUNT_BITS}")
 
     guard(k + p)
     _require_shift_work(rep)

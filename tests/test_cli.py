@@ -206,20 +206,11 @@ class TestExitCodes:
         assert code == 3 and data["ok"] is False
 
     def test_precondition_classes(self):
-        from wildmckay.covers import CountTooLarge, EnumerationTooLarge, InvalidJump
-        from wildmckay.gf import PreconditionError, PrimalityUnproven
-        from wildmckay.invariant_rings import RelationTooLarge
-        from wildmckay.stringy import (
-            BaseFieldMismatch,
-            DegreeTooLarge,
-            NotKLT,
-            NotStringilyKLT,
-            PointCountTooLarge,
-            ShiftWorkTooLarge,
-        )
+        from wildmckay.covers import InvalidJump
+        from wildmckay.gf import PreconditionError, PrimalityUnproven, TooLarge
+        from wildmckay.stringy import BaseFieldMismatch, NotKLT, NotStringilyKLT
 
-        for exc in (PrimalityUnproven, InvalidJump, EnumerationTooLarge, CountTooLarge, BaseFieldMismatch,
-                    DegreeTooLarge, PointCountTooLarge, ShiftWorkTooLarge, RelationTooLarge):
+        for exc in (PrimalityUnproven, InvalidJump, BaseFieldMismatch, TooLarge):
             assert issubclass(exc, PreconditionError)
         for exc in (NotStringilyKLT, NotKLT):
             assert issubclass(exc, PreconditionError) and issubclass(exc, ArithmeticError)
@@ -696,7 +687,8 @@ def boundary_calls(draw):
     """A plain call of a leaf other than suite, on boundary values: ints from
     -7 to 2^128, Mersenne primes and 10^9 + 7, --q often a power of --p,
     --dims often the smallest KLT dims of --p, fractions of either sign, half
-    of them over 0, and a --max-enum of at most 10^4 on every census."""
+    of them over 0, and a --max-enum of at most 10^4 on every census: a
+    census at the 10^7 input guard can take 8.5 s, past the alarm."""
     p = draw(BOUNDARY_INTS)
     ints = BOUNDARY_INTS.map(str)
     joined = st.lists(BOUNDARY_INTS, min_size=1, max_size=3).map(lambda xs: ",".join(map(str, xs)))

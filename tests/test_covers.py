@@ -16,7 +16,6 @@ from wildmckay import covers, laurent, oracles
 from wildmckay.cli import main
 from wildmckay.covers import (
     ASCoverClass,
-    EnumerationTooLarge,
     InvalidJump,
     count_extensions,
     count_rep_covers,
@@ -26,7 +25,7 @@ from wildmckay.covers import (
     reduce_with_witnesses,
     witnesses_account_for,
 )
-from wildmckay.gf import GF, InternalMismatch, PreconditionError, require_prime_power
+from wildmckay.gf import GF, InternalMismatch, TooLarge, require_prime_power
 from wildmckay.laurent import artin_schreier
 from wildmckay.oracles import uniformizer_params, verify_jump
 
@@ -90,7 +89,7 @@ class TestReduce:
     def test_witness_chain_guard(self):
         # t^(-2^1023) over F_2 walks a chain of 1023 witnesses: 1024^2 bits at most
         assert reduce(F2, {-2 ** 1023: 1}) == ASCoverClass(F2, {1: 1}, 0)
-        with pytest.raises(PreconditionError, match="1050625 bits of witnesses, above the guard of 1048576"):
+        with pytest.raises(TooLarge, match="1050625 bits of witnesses, above the guard of 1048576"):
             reduce(F2, {-2 ** 1024: 1})
         # a huge exponent prime to p starts no chain
         assert reduce(F2, {-2 ** 5000 - 1: 1}).jump == 2 ** 5000 + 1
@@ -373,7 +372,7 @@ class TestCensus:
         assert report.all_ok
 
     def test_guard(self):
-        with pytest.raises(EnumerationTooLarge):
+        with pytest.raises(TooLarge, match="2\\^40 exceeds the enumeration guard 10000000"):
             enumerate_covers(2, 40)
 
     def test_guard_refuses_before_forming_q_to_the_j(self):
@@ -382,10 +381,26 @@ class TestCensus:
         assert done.returncode == 2
         assert "3^100000000 exceeds the enumeration guard 10000000" in done.stderr
 
+    def test_max_enum_lowers_the_input_guard_but_never_raises_it(self, capsys):
+        # unclamped, --max-enum 10^12 started a walk of 2^38 inputs, about 55 h
+        start = time.perf_counter()
+        assert main(["covers", "census", "--p", "2", "--q", "2", "--max-exp", "38",
+                     "--max-enum", "1000000000000"]) == 2
+        assert time.perf_counter() - start < 1
+        assert "2^38 exceeds the enumeration guard 10000000" in capsys.readouterr().err
+        assert covers.MAX_CENSUS_INPUTS == 10 ** 7
+        with pytest.raises(TooLarge, match="2\\^10 exceeds the enumeration guard 100$"):
+            enumerate_covers(2, 10, guard=100)
+        outputs = []
+        for guard in ([], ["--max-enum", "1024"], ["--max-enum", "1000000000000"]):
+            assert main(["covers", "census", "--p", "2", "--q", "2", "--max-exp", "10", *guard]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1] == outputs[2]
+
     def test_class_guard_refuses_before_the_walk(self):
         # p > J makes every input its own class: 1009^2 classes took 3.3 s and 272 MB
         start = time.perf_counter()
-        with pytest.raises(EnumerationTooLarge, match=r"1009\^2 = 1018081 classes, above the class guard 1000000"):
+        with pytest.raises(TooLarge, match=r"1009\^2 = 1018081 classes, above the class guard 1000000"):
             enumerate_covers(1009, 2)
         assert time.perf_counter() - start < 1
         done = cli_process("covers", "census", "--p", "1009", "--q", "1009", "--max-exp", "2")
@@ -397,7 +412,7 @@ class TestCensus:
         monkeypatch.setattr(covers, "MAX_CENSUS_CLASSES", 27)
         assert enumerate_covers(3, 4).class_count == 27
         monkeypatch.setattr(covers, "MAX_CENSUS_CLASSES", 26)
-        with pytest.raises(EnumerationTooLarge, match="27 classes"):
+        with pytest.raises(TooLarge, match="27 classes"):
             enumerate_covers(3, 4)
 
     def test_determinism(self):
